@@ -180,12 +180,16 @@ fn run_serve(check: bool, dry_run: bool, stats_out: Option<String>, workers: usi
 
     eprintln!("measuring gtr-serve latency (tiny exact sweep, cold then hot)...");
     let report = measure_serve(workers);
+    let fmt_us = |v: Option<u64>| v.map_or_else(|| "n/a".to_string(), |us| format!("{us} us"));
     println!(
-        "{} cells | cold p50 {} us | hot p50 {} us ({:.0}x) | hot hits {:.1}% | {} simulations (commit {})",
+        "{} cells | cold p50 {} us | hot p50 {} us ({:.0}x) | hot client rtt p50 {} p99 {} | \
+         hot hits {:.1}% | {} simulations (commit {})",
         report.cells,
         report.cold_p50_us,
         report.hot_p50_us,
         report.speedup_p50,
+        fmt_us(report.hot_rtt_p50_us),
+        fmt_us(report.hot_rtt_p99_us),
         report.hot_hit_rate_pct,
         report.simulations,
         report.commit

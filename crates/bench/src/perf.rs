@@ -638,6 +638,27 @@ pub struct ServePerfReport {
     pub simulations: u64,
     /// `cold_p50_us / hot_p50_us` — the headline speedup.
     pub speedup_p50: f64,
+    /// Hot-cell client round trip, median, microseconds: one request
+    /// per write on one `TCP_NODELAY` connection, from the write to
+    /// the document's last byte. Unlike the header's `micros`, which
+    /// starts after admission, this is everything a client waits for.
+    /// `None` in records that predate the field.
+    pub hot_rtt_p50_us: Option<u64>,
+    /// Hot-cell client round trip, p99, microseconds.
+    pub hot_rtt_p99_us: Option<u64>,
+}
+
+fn fmt_opt_u64(v: Option<u64>) -> String {
+    v.map_or_else(|| "null".to_string(), |v| v.to_string())
+}
+
+/// An optional count: absent (older records) and `null` both parse as
+/// `None`, anything else must be a count.
+fn parse_opt_u64(j: &Json, key: &str) -> Option<Option<u64>> {
+    match j.get(key) {
+        None | Some(Json::Null) => Some(None),
+        Some(v) => Some(Some(v.as_u64()?)),
+    }
 }
 
 impl ServePerfReport {
@@ -647,7 +668,8 @@ impl ServePerfReport {
             "{{\n  \"commit\": \"{}\",\n  \"scale\": \"{}\",\n  \"cells\": {},\n  \
              \"cold_p50_us\": {},\n  \"cold_p90_us\": {},\n  \"cold_p99_us\": {},\n  \
              \"hot_p50_us\": {},\n  \"hot_p90_us\": {},\n  \"hot_p99_us\": {},\n  \
-             \"hot_hit_rate_pct\": {:.1},\n  \"simulations\": {},\n  \"speedup_p50\": {:.1}\n}}\n",
+             \"hot_hit_rate_pct\": {:.1},\n  \"simulations\": {},\n  \"speedup_p50\": {:.1},\n  \
+             \"hot_rtt_p50_us\": {},\n  \"hot_rtt_p99_us\": {}\n}}\n",
             self.commit,
             self.scale,
             self.cells,
@@ -659,7 +681,9 @@ impl ServePerfReport {
             self.hot_p99_us,
             self.hot_hit_rate_pct,
             self.simulations,
-            self.speedup_p50
+            self.speedup_p50,
+            fmt_opt_u64(self.hot_rtt_p50_us),
+            fmt_opt_u64(self.hot_rtt_p99_us)
         )
     }
 
@@ -680,6 +704,8 @@ impl ServePerfReport {
             hot_hit_rate_pct: j.get("hot_hit_rate_pct")?.as_f64()?,
             simulations: u("simulations")?,
             speedup_p50: j.get("speedup_p50")?.as_f64()?,
+            hot_rtt_p50_us: parse_opt_u64(&j, "hot_rtt_p50_us")?,
+            hot_rtt_p99_us: parse_opt_u64(&j, "hot_rtt_p99_us")?,
         })
     }
 }
@@ -710,13 +736,50 @@ fn serve_pass_latencies(responses: &[String]) -> (gtr_sim::hist::Hist, u64) {
     (hist, cache_hits)
 }
 
+/// Passes over the cells that [`measure_serve`] times from the client.
+const SERVE_RTT_PASSES: usize = 5;
+
+/// Client round trips in microseconds, one sample per cell request
+/// in `lines` (blank lines skipped), [`SERVE_RTT_PASSES`] times on one
+/// `TCP_NODELAY` connection: each request is written as one line plus
+/// the blank line that flushes it, and timed until the header and
+/// document lines have both arrived.
+fn client_round_trips(
+    addr: std::net::SocketAddr,
+    lines: &[String],
+) -> std::io::Result<gtr_sim::stats::Sampler> {
+    use std::io::{BufRead, Write};
+    let stream = std::net::TcpStream::connect(addr)?;
+    stream.set_nodelay(true)?;
+    let mut reader = std::io::BufReader::new(stream.try_clone()?);
+    let mut writer = stream;
+    let mut reply = String::new();
+    let mut rtts = gtr_sim::stats::Sampler::new();
+    for _ in 0..SERVE_RTT_PASSES {
+        for line in lines.iter().filter(|l| !l.is_empty()) {
+            let request = format!("{line}\n\n");
+            let start = Instant::now();
+            writer.write_all(request.as_bytes())?;
+            for _ in 0..2 {
+                reply.clear();
+                if reader.read_line(&mut reply)? == 0 {
+                    return Err(std::io::ErrorKind::UnexpectedEof.into());
+                }
+            }
+            rtts.record(start.elapsed().as_secs_f64() * 1e6);
+        }
+    }
+    Ok(rtts)
+}
+
 /// Measures `gtr-serve` cell latency against an in-process server on
 /// a loopback port: the tiny exact (Table-2 suite × 4 configs) sweep,
 /// submitted one cell per batch so every response header's `micros`
 /// is that cell's own service time. The cold pass starts from an
 /// empty result cache (`target/serve-perf-cache` is cleared first);
 /// the hot pass resubmits the identical cells and must be answered
-/// entirely from the memo.
+/// entirely from the memo. A last set of hot passes times each
+/// request's client round trip ([`ServePerfReport::hot_rtt_p50_us`]).
 pub fn measure_serve(workers: usize) -> ServePerfReport {
     use crate::serve::{run_server, submit_lines, ServeState};
     use gtr_workloads::suite;
@@ -744,6 +807,7 @@ pub fn measure_serve(workers: usize) -> ServePerfReport {
     }
     let cold = submit_lines(addr, &lines).expect("cold serve pass");
     let hot = submit_lines(addr, &lines).expect("hot serve pass");
+    let mut rtts = client_round_trips(addr, &lines).expect("round-trip passes");
     let ctl = submit_lines(
         addr,
         &["{\"cmd\":\"stats\"}".to_string(), "{\"cmd\":\"shutdown\"}".to_string()],
@@ -772,6 +836,8 @@ pub fn measure_serve(workers: usize) -> ServePerfReport {
         hot_hit_rate_pct: if cells == 0 { 0.0 } else { hot_hits as f64 * 100.0 / cells as f64 },
         simulations,
         speedup_p50: cold_hist.p50() as f64 / hot_p50.max(1) as f64,
+        hot_rtt_p50_us: Some(rtts.quantile(0.50).round() as u64),
+        hot_rtt_p99_us: Some(rtts.quantile(0.99).round() as u64),
     }
 }
 
@@ -1078,7 +1144,26 @@ mod tests {
             hot_hit_rate_pct: 100.0,
             simulations: 40,
             speedup_p50: 1500.0,
+            hot_rtt_p50_us: Some(60),
+            hot_rtt_p99_us: Some(250),
         }
+    }
+
+    #[test]
+    fn serve_records_without_round_trips_still_parse() {
+        // A record written before the round-trip fields existed.
+        let legacy = "{\"commit\": \"ad9cc39\", \"scale\": \"tiny\", \"cells\": 40, \
+            \"cold_p50_us\": 16384, \"cold_p90_us\": 32768, \"cold_p99_us\": 32768, \
+            \"hot_p50_us\": 0, \"hot_p90_us\": 1, \"hot_p99_us\": 1, \
+            \"hot_hit_rate_pct\": 100.0, \"simulations\": 40, \"speedup_p50\": 16384.0}";
+        let r = ServePerfReport::from_json(legacy).expect("legacy record parses");
+        assert_eq!((r.hot_rtt_p50_us, r.hot_rtt_p99_us), (None, None));
+        assert_eq!(r.cells, 40);
+        // And `None` round-trips as an explicit null.
+        assert_eq!(ServePerfReport::from_json(&r.to_json()), Some(r));
+        let mut bad = serve_report("x").to_json();
+        bad = bad.replace("\"hot_rtt_p50_us\": 60", "\"hot_rtt_p50_us\": \"fast\"");
+        assert!(ServePerfReport::from_json(&bad).is_none(), "a non-count is rejected");
     }
 
     #[test]

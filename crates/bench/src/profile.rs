@@ -443,9 +443,13 @@ pub fn bench_history_report(label: &str, text: &str, tolerance_pct: f64) -> Resu
                 Some(d) => format!("{d:+7.1}%  {}", verdict(d, tolerance_pct)),
                 None => "      —  (first)".to_string(),
             };
+            let rtt = match (r.hot_rtt_p50_us, r.hot_rtt_p99_us) {
+                (Some(p50), Some(p99)) => format!("; client rtt p50 {p50}us p99 {p99}us"),
+                _ => String::new(),
+            };
             out.push_str(&format!(
                 "  {i:>2}  {:<9} {:<6} {:>12.1} {:<8} {trend:<18} \
-                 [cold p50 {}us -> hot p50 {}us; cells {}]\n",
+                 [cold p50 {}us -> hot p50 {}us; cells {}{rtt}]\n",
                 r.commit, r.scale, r.speedup_p50, "x hot", r.cold_p50_us, r.hot_p50_us, r.cells
             ));
             prev_rate = Some(r.speedup_p50);
@@ -650,14 +654,20 @@ mod tests {
             hot_hit_rate_pct: 100.0,
             simulations: 40,
             speedup_p50: speedup,
+            hot_rtt_p50_us: None,
+            hot_rtt_p99_us: None,
         };
         let mut doc = perf::append_history("", &mk("aaa", 1500.0).to_json());
-        doc = perf::append_history(&doc, &mk("bbb", 900.0).to_json());
+        let mut timed = mk("bbb", 900.0);
+        timed.hot_rtt_p50_us = Some(70);
+        timed.hot_rtt_p99_us = Some(300);
+        doc = perf::append_history(&doc, &timed.to_json());
         let report = bench_history_report("BENCH_serve_latency.json", &doc, 20.0).expect("parses");
         assert!(report.contains("2 record(s)"), "{report}");
         assert!(report.contains("x hot"), "{report}");
         assert!(report.contains("cold p50 120000us"), "{report}");
         assert!(report.contains("cells 40"), "{report}");
+        assert!(report.contains("client rtt p50 70us p99 300us"), "{report}");
         assert!(report.contains("REGRESS"), "900 after 1500 is beyond 20%: {report}");
     }
 

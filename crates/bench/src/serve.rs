@@ -7,18 +7,23 @@
 //! documents streamed back. Three layers (ARCHITECTURE's serving
 //! section):
 //!
-//! 1. **Admission/dedupe** — every request resolves to a
-//!    [`CellKey`](gtr_core::cell::CellKey); completed cells are
-//!    memoized in memory and in a versioned, checksummed on-disk
-//!    result cache, and identical in-flight requests coalesce onto
-//!    one computation ([`Flight`] condvars), so a hot cell is one
-//!    cache probe — the simulator is never re-entered.
+//! 1. **Admission/dedupe** — every request is validated and resolved
+//!    to a [`CellKey`](gtr_core::cell::CellKey) from names and
+//!    configs alone ([`CellRequest::resolve`]): no trace is generated
+//!    at admission. Completed cells are memoized in memory and in a
+//!    versioned, checksummed on-disk result cache, and identical
+//!    in-flight requests coalesce onto one computation ([`Flight`]
+//!    condvars), so a hot cell is one map probe plus a document write
+//!    — neither the workload generator nor the simulator is entered.
 //! 2. **Execution** — cold cells batch onto the existing
 //!    work-stealing [`pool`](crate::pool) with warmup checkpoints
 //!    shared through the acquire/return [`CheckpointShards`] tracker.
-//!    Every cell is an independent deterministic simulation, so a
-//!    served document is byte-identical to the same cell exported by
-//!    `all`/`run_app` in batch mode.
+//!    The pool worker running a cold cell is the only place its trace
+//!    is generated (and replicated, for tenanted cells); the trace is
+//!    dropped when the cell finishes. Every cell is an independent
+//!    deterministic simulation, so a served document is
+//!    byte-identical to the same cell exported by `all`/`run_app` in
+//!    batch mode.
 //! 3. **Streaming** — responses stream back per cell: a small header
 //!    line (`cell`, `source`, `schema_version`, `micros`) followed by
 //!    the stats document, exactly as
@@ -40,15 +45,17 @@
 //! Cell requests accumulate into a batch; a blank line or the
 //! client's write-side EOF flushes it. Responses come back in request
 //! order. Invalid requests produce one `{"error":...}` line (flushing
-//! the batch collected so far, so ordering stays request-relative).
+//! the batch collected so far, so ordering stays request-relative). A
+//! line longer than [`MAX_REQUEST_LINE`] bytes gets one error line and
+//! the connection closes.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use gtr_core::cell::CellKey;
 use gtr_core::checkpoint::{fingerprint_bytes, Checkpoint, CheckpointKey};
@@ -210,7 +217,41 @@ fn mode_descriptor(scale_label: &str, sampling: Option<&SamplingConfig>) -> Stri
     }
 }
 
-/// A validated, runnable experiment cell.
+/// How to build a cell's trace: a suite application at a scale,
+/// replicated across `tenants` address spaces when tenanted. Admission
+/// needs only its [`name`](Self::name); the trace itself is generated
+/// by [`build`](Self::build) on the cold path.
+#[derive(Debug, Clone, Copy)]
+struct TraceRecipe {
+    app: &'static str,
+    scale: Scale,
+    tenants: u8,
+}
+
+impl TraceRecipe {
+    /// The name the built trace carries — what [`CellKey`] keys on.
+    fn name(&self) -> String {
+        if self.tenants <= 1 {
+            self.app.to_string()
+        } else {
+            AppTrace::replicated_name(self.app, self.tenants)
+        }
+    }
+
+    /// Generates the trace (and replicates it for tenanted cells).
+    fn build(&self) -> AppTrace {
+        let base = suite::by_name(self.app, self.scale).expect("app validated at resolve");
+        if self.tenants <= 1 {
+            base
+        } else {
+            AppTrace::replicate(&base, self.tenants)
+        }
+    }
+}
+
+/// A validated, runnable experiment cell. It carries the recipe for
+/// its trace, not the trace: admitting a cell (and answering it from
+/// the cache) never generates a workload.
 #[derive(Debug, Clone)]
 pub struct ResolvedCell {
     /// Human-readable cell label (`app/config/scale/mode[...]`),
@@ -218,7 +259,7 @@ pub struct ResolvedCell {
     pub label: String,
     /// The cell's identity — the result-cache key.
     pub key: CellKey,
-    app: AppTrace,
+    trace: TraceRecipe,
     gpu: GpuConfig,
     reach: ReachConfig,
     sampling: Option<SamplingConfig>,
@@ -232,7 +273,8 @@ pub struct ResolvedCell {
 
 impl CellRequest {
     /// Validates the request against the suite/config/scale/mode
-    /// vocabularies and resolves it into a runnable cell.
+    /// vocabularies and resolves it into a runnable cell. Resolution
+    /// works from names and configs alone — no trace is generated.
     pub fn resolve(&self) -> Result<ResolvedCell, String> {
         let scale = match self.scale.as_str() {
             "tiny" => Scale::tiny(),
@@ -259,7 +301,7 @@ impl CellRequest {
                 gpu
             }
         };
-        let Some(base_app) = suite::by_name(&self.app, scale) else {
+        let Some(info) = suite::info(&self.app) else {
             return Err(format!("unknown app {:?}", self.app));
         };
         let sampling = match self.mode.as_str() {
@@ -274,20 +316,21 @@ impl CellRequest {
             solo_label.push('/');
             solo_label.push_str(pm);
         }
+        let solo_trace = TraceRecipe { app: info.name, scale, tenants: 1 };
+        let solo = ResolvedCell {
+            label: solo_label,
+            key: CellKey::new(info.name, &gpu, &reach_solo, &mode_desc),
+            trace: solo_trace,
+            gpu,
+            reach: reach_solo,
+            sampling,
+            solo: None,
+        };
         if self.tenants <= 1 {
             if self.policy.is_some() {
                 return Err("\"policy\" only applies to tenanted requests".to_string());
             }
-            let key = CellKey::new(base_app.name(), &gpu, &reach_solo, &mode_desc);
-            return Ok(ResolvedCell {
-                label: solo_label,
-                key,
-                app: base_app,
-                gpu,
-                reach: reach_solo,
-                sampling,
-                solo: None,
-            });
+            return Ok(solo);
         }
         if self.tenants > MAX_TENANTS as u64 {
             return Err(format!("tenants must be <= {MAX_TENANTS} (got {})", self.tenants));
@@ -304,23 +347,13 @@ impl CellRequest {
             None => return Err("tenanted requests need a \"policy\" field".to_string()),
         };
         let tenants = self.tenants as u8;
-        let app = AppTrace::replicate(&base_app, tenants);
+        let trace = TraceRecipe { tenants, ..solo_trace };
         let reach = reach_solo.with_tenancy(tenants, policy);
-        let key = CellKey::new(app.name(), &gpu, &reach, &mode_desc);
-        let solo = ResolvedCell {
-            label: solo_label.clone(),
-            key: CellKey::new(base_app.name(), &gpu, &reach_solo, &mode_desc),
-            app: base_app,
-            gpu: gpu.clone(),
-            reach: reach_solo,
-            sampling,
-            solo: None,
-        };
         Ok(ResolvedCell {
-            label: format!("{solo_label}/{tenants}t-{}", self.policy.as_deref().unwrap_or("")),
-            key,
-            app,
-            gpu,
+            label: format!("{}/{tenants}t-{}", solo.label, self.policy.as_deref().unwrap_or("")),
+            key: CellKey::new(&trace.name(), &solo.gpu, &reach, &mode_desc),
+            trace,
+            gpu: solo.gpu.clone(),
             reach,
             sampling,
             solo: Some(Box::new(solo)),
@@ -576,14 +609,16 @@ impl ServeState {
         Some(r)
     }
 
-    /// Runs one cold cell's simulation (no cache interaction).
+    /// Runs one cold cell's simulation (no cache interaction). This is
+    /// the only place a served cell's trace is generated.
     fn simulate(&self, cell: &ResolvedCell) -> RunStats {
+        let app = cell.trace.build();
         let mut stats = match cell.sampling {
-            None => harness::run_one(&cell.app, cell.gpu.clone(), cell.reach),
+            None => harness::run_one(&app, cell.gpu.clone(), cell.reach),
             Some(cfg) => {
-                let lease = self.shards.acquire(&cell.app, &cell.gpu, cfg.warmup);
+                let lease = self.shards.acquire(&app, &cell.gpu, cfg.warmup);
                 Variant::with_gpu(cell.label.clone(), cell.gpu.clone(), cell.reach)
-                    .run_with_mode(&cell.app, Some(cfg), Some(lease.checkpoint()))
+                    .run_with_mode(&app, Some(cfg), Some(lease.checkpoint()))
             }
         };
         if let Some(solo) = &cell.solo {
@@ -768,6 +803,15 @@ fn flush_batch(
     out.flush()
 }
 
+/// Longest request line a connection may send, newline included.
+/// A longer line is refused with one `{"error":...}` line and the
+/// connection closes, so no client can make the server buffer an
+/// unbounded line.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// How long a refused connection may keep sending before it is closed.
+const REFUSE_LINGER: Duration = Duration::from_secs(2);
+
 /// Serves one connection: accumulates cell requests, flushes on blank
 /// lines / EOF, answers control commands inline. Returns `true` when
 /// the client requested shutdown.
@@ -775,11 +819,34 @@ fn handle_conn(state: &ServeState, stream: TcpStream) -> std::io::Result<bool> {
     if prof::is_enabled() {
         prof::set_lane("serve");
     }
-    let reader = BufReader::new(stream.try_clone()?);
+    // Responses are buffered here and flushed once per batch, so
+    // Nagle's algorithm only delays them: a response larger than the
+    // write buffer leaves in two writes, and with Nagle on the second
+    // waits for the client's delayed ACK (about 40 ms on Linux).
+    stream.set_nodelay(true)?;
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut out = std::io::BufWriter::new(stream);
     let mut batch: Vec<ResolvedCell> = Vec::new();
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf: Vec<u8> = Vec::new();
+    loop {
+        buf.clear();
+        let n = (&mut reader).take(MAX_REQUEST_LINE as u64).read_until(b'\n', &mut buf)?;
+        if n == 0 {
+            break;
+        }
+        if n == MAX_REQUEST_LINE && buf.last() != Some(&b'\n') {
+            flush_batch(state, &mut batch, &mut out)?;
+            write_error(&mut out, &format!("request line exceeds {MAX_REQUEST_LINE} bytes"))?;
+            out.flush()?;
+            discard_input(&mut reader, out.get_ref());
+            return Ok(false);
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            flush_batch(state, &mut batch, &mut out)?;
+            write_error(&mut out, "request line is not UTF-8")?;
+            out.flush()?;
+            continue;
+        };
         let line = line.trim();
         if line.is_empty() {
             flush_batch(state, &mut batch, &mut out)?;
@@ -819,6 +886,24 @@ fn handle_conn(state: &ServeState, stream: TcpStream) -> std::io::Result<bool> {
     }
     flush_batch(state, &mut batch, &mut out)
         .map(|_| false)
+}
+
+/// Closes a refused connection gracefully: ends the write side, then
+/// reads and drops whatever the client still sends, for at most
+/// [`REFUSE_LINGER`]. Closing a socket with unread input resets the
+/// connection, and a reset can discard the error line before the
+/// client reads it.
+fn discard_input(reader: &mut impl Read, stream: &TcpStream) {
+    let _ = stream.shutdown(Shutdown::Write);
+    let _ = stream.set_read_timeout(Some(REFUSE_LINGER));
+    let deadline = Instant::now() + REFUSE_LINGER;
+    let mut sink = [0u8; 8192];
+    while Instant::now() < deadline {
+        match reader.read(&mut sink) {
+            Ok(n) if n > 0 => {}
+            _ => break,
+        }
+    }
 }
 
 /// Runs the accept loop until a client sends `{"cmd":"shutdown"}`.

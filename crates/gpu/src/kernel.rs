@@ -273,8 +273,15 @@ impl AppTrace {
             .collect();
         let refs: Vec<&AppTrace> = copies.iter().collect();
         let mut out = Self::interleave_many(&refs);
-        out.name = format!("{}x{}", app.name(), tenants);
+        out.name = Self::replicated_name(app.name(), tenants);
         out
+    }
+
+    /// The name [`Self::replicate`] gives `tenants` copies of the
+    /// application called `base`, available without building either
+    /// trace (cache keys are derived from names alone).
+    pub fn replicated_name(base: &str, tenants: u8) -> String {
+        format!("{base}x{tenants}")
     }
 
     /// Number of distinct kernel names.
@@ -361,6 +368,7 @@ mod tests {
         let app = AppTrace::new("G", vec![k("k1"), k("k2")]);
         let r = AppTrace::replicate(&app, 3);
         assert_eq!(r.name(), "Gx3");
+        assert_eq!(AppTrace::replicated_name("G", 3), r.name());
         assert_eq!(r.kernels().len(), 6);
         assert_eq!(r.kernels()[0].name(), "G@t0::k1");
         assert_eq!(r.kernels()[1].name(), "G@t1::k1");

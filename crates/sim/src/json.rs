@@ -8,8 +8,9 @@
 //! `gtr-core` and the schema validator in `gtr-bench`.
 //!
 //! Only the JSON subset the workspace emits is guaranteed to
-//! round-trip; exotic inputs (huge exponents, non-BMP `\u` escapes)
-//! parse on a best-effort basis.
+//! round-trip; exotic inputs (huge exponents, unpaired surrogate `\u`
+//! escapes) parse on a best-effort basis. Parsing is linear in the
+//! input length.
 //!
 //! # Example
 //!
@@ -317,13 +318,26 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     *pos += 1;
     let mut out = String::new();
     loop {
+        // Copy the run of unescaped bytes up to the next quote or
+        // backslash in one step. Both are ASCII, so a run never splits
+        // a multi-byte sequence, and each byte is validated once:
+        // parsing stays linear in the input.
+        let run = bytes[*pos..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .map_or(bytes.len(), |n| *pos + n);
+        out.push_str(
+            std::str::from_utf8(&bytes[*pos..run]).map_err(|_| "invalid UTF-8 in string")?,
+        );
+        *pos = run;
         match bytes.get(*pos) {
             None => return Err("unterminated string".into()),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
+            Some(_) => {
+                // A backslash: decode one escape.
                 *pos += 1;
                 match bytes.get(*pos) {
                     Some(b'"') => out.push('"'),
@@ -335,30 +349,34 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let mut code = parse_hex4(bytes, *pos + 1)?;
                         *pos += 4;
+                        // A high surrogate followed by an escaped low
+                        // surrogate encodes one non-BMP scalar.
+                        if (0xD800..0xDC00).contains(&code)
+                            && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u")
+                        {
+                            if let Ok(low @ 0xDC00..=0xDFFF) = parse_hex4(bytes, *pos + 3) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                *pos += 6;
+                            }
+                        }
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
                     other => return Err(format!("bad escape {other:?}")),
                 }
                 *pos += 1;
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences are
-                // passed through unchanged).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string")?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
         }
     }
+}
+
+/// The four hex digits of a `\u` escape starting at `at`.
+fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let hex = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    hex.iter()
+        .try_fold(0, |acc, &b| Some(acc * 16 + char::from(b).to_digit(16)?))
+        .ok_or_else(|| "bad \\u escape".into())
 }
 
 fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
@@ -473,6 +491,41 @@ mod tests {
     fn malformed_inputs_rejected() {
         for text in ["", "{", "[1,", "{\"a\" 1}", "tru", "\"unterminated", "1 2", "{\"a\":}"] {
             assert!(Json::parse(text).is_err(), "should reject {text:?}");
+        }
+    }
+
+    #[test]
+    fn megabyte_string_parses() {
+        // Parsing must be linear: re-validating the rest of the input
+        // for every character would take minutes on this string.
+        let long = "ab\u{e9}\u{1F600}".repeat(150_000);
+        assert!(long.len() >= 1 << 20);
+        let j = Json::Obj(vec![("s".into(), Json::Str(long.clone()))]);
+        let mut text = String::new();
+        j.write_compact(&mut text);
+        assert_eq!(Json::parse(&text).unwrap().get("s").and_then(Json::as_str), Some(&*long));
+    }
+
+    #[test]
+    fn every_escape_and_multibyte_scalar_round_trips() {
+        // Every control character (escaped as `\uXXXX` or a short
+        // escape by the writer), quote and backslash, and 2-, 3- and
+        // 4-byte UTF-8 scalars written raw.
+        let mut s: String = (0u32..0x20).filter_map(char::from_u32).collect();
+        s.push_str("\"\\/ plain é ≈ 😀 \u{7f} end");
+        let j = Json::Str(s.clone());
+        let mut text = String::new();
+        j.write_compact(&mut text);
+        assert_eq!(Json::parse(&text).unwrap(), j);
+        assert_eq!(Json::parse(&j.to_string()).unwrap(), j);
+
+        // Escapes the writer never emits still decode.
+        let parsed = Json::parse(r#""\b\f\/\u00e9\u00E9\u2248\ud83d\ude00\"\\""#).unwrap();
+        assert_eq!(parsed.as_str(), Some("\u{8}\u{c}/éé≈😀\"\\"));
+        // A lone surrogate becomes the replacement character.
+        assert_eq!(Json::parse(r#""\ud83dx""#).unwrap().as_str(), Some("\u{fffd}x"));
+        for bad in [r#""\u12""#, r#""\u+123""#, r#""\u12g4""#, r#""\q""#, r#""abc\""#] {
+            assert!(Json::parse(bad).is_err(), "should reject {bad:?}");
         }
     }
 

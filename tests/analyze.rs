@@ -3,6 +3,8 @@
 //! reproducible from the trace alone — and every committed fixture
 //! must keep parsing.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use gpu_translation_reach::bench::analyze::{
     check_against_stats, diff_stats, missing_metrics, replay_jsonl,
 };
@@ -19,11 +21,15 @@ use gpu_translation_reach::sim::trace::JsonlSink;
 use gpu_translation_reach::workloads::{scale::Scale, suite};
 
 /// Runs one app under one config with tracing + distributions armed,
-/// returning the stats and the trace text.
+/// returning the stats and the trace text. Every call traces to its
+/// own file, so tests running in parallel never remove each other's
+/// trace.
 fn traced_run(app_name: &str, reach: ReachConfig) -> (RunStats, String) {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = std::env::temp_dir().join("gtr_analyze_test");
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(format!("{app_name}_{}.jsonl", std::process::id()));
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path = dir.join(format!("{app_name}_{}_{call}.jsonl", std::process::id()));
     let app = suite::by_name(app_name, Scale::tiny()).expect("known app");
     let sink = JsonlSink::create(&path).expect("create trace file");
     let stats = System::new(GpuConfig::default(), reach)

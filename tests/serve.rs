@@ -9,6 +9,7 @@
 //! deterministic simulation the `all`/`run_app` harnesses run, and the
 //! streamed document is exactly `run_stats_to_json_string` output.
 
+use std::io::{BufRead, BufReader, Write};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -16,8 +17,9 @@ use gpu_translation_reach::bench::figures;
 use gpu_translation_reach::bench::harness::{self, Variant};
 use gpu_translation_reach::bench::serve::{
     decode_result, encode_result, result_path, run_server, submit_lines, CachedResult,
-    CellRequest, ServeState, RESULT_CACHE_VERSION,
+    CellRequest, ServeState, MAX_REQUEST_LINE, RESULT_CACHE_VERSION,
 };
+use gpu_translation_reach::core_arch::cell::CellKey;
 use gpu_translation_reach::core_arch::config::ReachConfig;
 use gpu_translation_reach::core_arch::export::run_stats_to_json_string;
 use gpu_translation_reach::gpu::config::GpuConfig;
@@ -286,6 +288,221 @@ fn tcp_round_trip_dedupes_and_shuts_down() {
         );
     }
 
+    let bye = submit_lines(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]).expect("shutdown");
+    assert_eq!(bye, [r#"{"ok":"shutdown"}"#.to_string()]);
+    server.join().expect("server thread").expect("clean server exit");
+}
+
+/// Admission resolves keys from names and configs alone, yet every key
+/// equals the one derived from the generated (and replicated) trace,
+/// so every result cache written before stays valid. Covers the whole
+/// request vocabulary: each suite app at tiny and paper scale, every
+/// config, exact and sampled, untenanted and 2/8 tenants under every
+/// policy, and every page mode.
+#[test]
+fn resolved_keys_equal_keys_from_generated_traces() {
+    let configs = [
+        ("baseline", ReachConfig::baseline()),
+        ("lds", ReachConfig::lds_only()),
+        ("ic", ReachConfig::ic_only()),
+        ("ic+lds", ReachConfig::ic_plus_lds()),
+    ];
+    let policies = [
+        ("partitioned", SharingPolicy::Partitioned),
+        ("shared", SharingPolicy::Shared),
+        ("subentry", SharingPolicy::SubEntry),
+    ];
+    let page_modes = [None, Some("4k"), Some("2m"), Some("frag2m"), Some("coalesced")];
+    let mut checked = 0;
+    for info in &suite::TABLE2 {
+        for (scale_name, scale) in [("tiny", Scale::tiny()), ("paper", Scale::paper())] {
+            // The names of the generated (and replicated) traces
+            // these requests run.
+            let base = suite::by_name(info.name, scale).expect("suite app");
+            let trace_names: Vec<(u64, String)> = [1u8, 2, 8]
+                .into_iter()
+                .map(|t| {
+                    let name = match t {
+                        1 => base.name().to_string(),
+                        _ => AppTrace::replicate(&base, t).name().to_string(),
+                    };
+                    (u64::from(t), name)
+                })
+                .collect();
+            drop(base);
+            for (config, solo_reach) in configs {
+                for mode in ["exact", "sampled"] {
+                    let mode_desc = match mode {
+                        "exact" => format!("scale={scale_name} exact"),
+                        _ => format!("scale={scale_name} sampled {:?}", figures::sampling_for(scale)),
+                    };
+                    for pm in page_modes {
+                        let (gpu, solo_reach) = match pm {
+                            None => (GpuConfig::default(), solo_reach),
+                            Some(pm) => {
+                                let (gpu, coalesce) =
+                                    figures::page_mode_config(pm).expect("page mode");
+                                (gpu, coalesce.map_or(solo_reach, |m| solo_reach.with_tlb_coalescing(m)))
+                            }
+                        };
+                        for (tenants, trace_name) in &trace_names {
+                            let tenanted: Vec<(Option<&str>, ReachConfig)> = if *tenants == 1 {
+                                vec![(None, solo_reach)]
+                            } else {
+                                policies
+                                    .iter()
+                                    .map(|&(p, policy)| {
+                                        (Some(p), solo_reach.with_tenancy(*tenants as u8, policy))
+                                    })
+                                    .collect()
+                            };
+                            for (policy, reach) in tenanted {
+                                let req = CellRequest {
+                                    app: info.name.to_string(),
+                                    config: config.to_string(),
+                                    scale: scale_name.to_string(),
+                                    mode: mode.to_string(),
+                                    tenants: *tenants,
+                                    policy: policy.map(str::to_string),
+                                    page_mode: pm.map(str::to_string),
+                                };
+                                let cell = req.resolve().expect("valid request");
+                                let expected = CellKey::new(trace_name, &gpu, &reach, &mode_desc);
+                                assert_eq!(cell.key, expected, "{req:?}");
+                                assert_eq!(cell.key.fingerprint(), expected.fingerprint());
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 10 * 2 * 4 * 2 * 5 * (1 + 2 * 3));
+
+    // Names and vocabularies are still checked at resolve time.
+    let bad = |f: &dyn Fn(&mut CellRequest)| {
+        let mut r = request("GUPS", "ic+lds", "exact");
+        f(&mut r);
+        r.resolve().is_err()
+    };
+    assert!(bad(&|r| r.app = "NOPE".to_string()), "unknown app");
+    assert!(bad(&|r| r.app = "gups".to_string()), "app names are case-sensitive");
+    assert!(bad(&|r| r.config = "turbo".to_string()), "unknown config");
+    assert!(bad(&|r| r.scale = "huge".to_string()), "unknown scale");
+    assert!(bad(&|r| r.mode = "fast".to_string()), "unknown mode");
+    assert!(bad(&|r| r.page_mode = Some("1g".to_string())), "unknown page mode");
+    assert!(
+        bad(&|r| {
+            r.tenants = 2;
+            r.policy = Some("greedy".to_string());
+        }),
+        "unknown policy"
+    );
+    assert!(bad(&|r| r.tenants = 9), "tenant count over the limit");
+}
+
+/// A request line over [`MAX_REQUEST_LINE`] bytes gets one error line
+/// and its connection closes; the server keeps serving new
+/// connections.
+#[test]
+fn oversized_request_line_is_refused_and_server_survives() {
+    let state = Arc::new(ServeState::new(1, None, None));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let server = {
+        let state = Arc::clone(&state);
+        std::thread::spawn(move || run_server(state, listener))
+    };
+
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    let writer = {
+        let mut stream = stream.try_clone().expect("clone stream");
+        std::thread::spawn(move || {
+            let mut line = vec![b'x'; 1 << 20];
+            line.push(b'\n');
+            // The server may stop reading once it has refused the
+            // line; a failed write is fine.
+            let _ = stream.write_all(&line);
+            let _ = stream.shutdown(std::net::Shutdown::Write);
+        })
+    };
+    let replies: Vec<String> =
+        BufReader::new(stream).lines().collect::<Result<_, _>>().expect("read replies");
+    writer.join().expect("writer thread");
+    assert_eq!(replies.len(), 1, "one error line, then the connection closes: {replies:?}");
+    let err = Json::parse(&replies[0]).expect("error parses");
+    let msg = err.get("error").and_then(Json::as_str).expect("an error line");
+    assert!(msg.contains(&MAX_REQUEST_LINE.to_string()), "{msg}");
+
+    // A line just under the bound is still read (and rejected as
+    // JSON, not for its length), and a fresh connection is served.
+    let near = format!("{{\"app\":\"{}\"}}", "y".repeat(MAX_REQUEST_LINE - 20));
+    let replies = submit_lines(addr, &[near]).expect("near-limit line");
+    assert_eq!(replies.len(), 1, "{replies:?}");
+    assert!(replies[0].contains("unknown app"), "{}", replies[0]);
+    // A line that is not UTF-8 gets an error line, and the connection
+    // keeps serving.
+    let mut raw = std::net::TcpStream::connect(addr).expect("connect");
+    raw.write_all(b"\xff\xfe\n{\"cmd\":\"stats\"}\n").expect("send");
+    raw.shutdown(std::net::Shutdown::Write).expect("half-close");
+    let replies: Vec<String> =
+        BufReader::new(raw).lines().collect::<Result<_, _>>().expect("read replies");
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    assert!(replies[0].contains("not UTF-8"), "{}", replies[0]);
+    assert!(replies[1].contains("counters"), "{}", replies[1]);
+
+    let ok = submit_lines(
+        addr,
+        &[r#"{"app":"GUPS","config":"baseline","scale":"tiny","mode":"exact"}"#.to_string()],
+    )
+    .expect("fresh connection");
+    assert_eq!(ok.len(), 2, "header + document: {ok:?}");
+    assert_eq!(
+        Json::parse(&ok[0]).expect("header").get("source").and_then(Json::as_str),
+        Some("computed")
+    );
+
+    let bye = submit_lines(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]).expect("shutdown");
+    assert_eq!(bye, [r#"{"ok":"shutdown"}"#.to_string()]);
+    server.join().expect("server thread").expect("clean server exit");
+}
+
+/// A response larger than the server's write buffer (tiny SSSP's IC
+/// document is over 8 KB) leaves in more than one write. With Nagle's
+/// algorithm on, the last write waited for the client's delayed ACK,
+/// about 40 ms on every such request; the server disables it.
+#[test]
+fn large_responses_are_not_held_back() {
+    let state = Arc::new(ServeState::new(1, None, None));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let server = {
+        let state = Arc::clone(&state);
+        std::thread::spawn(move || run_server(state, listener))
+    };
+    let line = r#"{"app":"SSSP","config":"ic","scale":"tiny","mode":"exact"}"#;
+    let stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("client nodelay");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut writer = stream;
+    let mut round_trip = || {
+        let start = std::time::Instant::now();
+        writer.write_all(format!("{line}\n\n").as_bytes()).expect("send request");
+        let (mut header, mut doc) = (String::new(), String::new());
+        reader.read_line(&mut header).expect("header");
+        reader.read_line(&mut doc).expect("document");
+        (start.elapsed(), doc.len())
+    };
+    let (_, doc_len) = round_trip(); // cold: computes the cell
+    assert!(doc_len > 8 * 1024, "the document must exceed the write buffer: {doc_len} bytes");
+    let fastest = (0..5).map(|_| round_trip().0).min().expect("five hot requests");
+    assert!(
+        fastest < std::time::Duration::from_millis(20),
+        "every hot round trip took at least {fastest:?}: the response was held back"
+    );
+    // Close this connection: shutdown waits for open ones to end.
+    drop((reader, writer));
     let bye = submit_lines(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]).expect("shutdown");
     assert_eq!(bye, [r#"{"ok":"shutdown"}"#.to_string()]);
     server.join().expect("server thread").expect("clean server exit");
