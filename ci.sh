@@ -8,7 +8,7 @@ cargo build --release
 # The default test run includes the worker-count determinism battery
 # (tests/parallel_determinism.rs): byte-identical schema-v4 exports
 # for --threads 1/2/4/8, exact and sampled.
-cargo test -q
+cargo test -q --workspace
 
 # Rustdoc must build warning-free (the workspace warns on
 # missing_docs: every public item is documented).

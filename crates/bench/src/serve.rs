@@ -910,19 +910,34 @@ fn discard_input(reader: &mut impl Read, stream: &TcpStream) {
 /// Each connection is served on its own thread against the shared
 /// state; the shutdown handler wakes the (blocking) accept with a
 /// loopback dial so the listener can observe the stop flag.
+///
+/// On stop, every connection still open has its read side shut down:
+/// a reader blocked on an idle client sees end-of-input, flushes its
+/// batch and ends, while a response being written still completes. So
+/// the call returns once in-flight work is done, however long other
+/// clients keep their connections open.
 pub fn run_server(state: Arc<ServeState>, listener: TcpListener) -> std::io::Result<()> {
     let addr = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
+    // A clone of each open connection's stream, for the read-side
+    // shutdown at stop. A connection thread removes its own clone as
+    // it ends, so the socket closes as soon as its handler is done.
+    let open: Arc<Mutex<HashMap<u64, TcpStream>>> = Arc::default();
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
+    for (id, stream) in (0u64..).zip(listener.incoming()) {
         if stop.load(Ordering::SeqCst) {
             break;
         }
         let stream = stream?;
+        conns.retain(|c| !c.is_finished());
+        open.lock().expect("connection registry").insert(id, stream.try_clone()?);
         let state = Arc::clone(&state);
         let stop = Arc::clone(&stop);
+        let open = Arc::clone(&open);
         conns.push(std::thread::spawn(move || {
-            match handle_conn(&state, stream) {
+            let result = handle_conn(&state, stream);
+            open.lock().expect("connection registry").remove(&id);
+            match result {
                 Ok(true) => {
                     stop.store(true, Ordering::SeqCst);
                     // Wake the accept loop so it can see the flag.
@@ -932,6 +947,9 @@ pub fn run_server(state: Arc<ServeState>, listener: TcpListener) -> std::io::Res
                 Err(e) => eprintln!("gtr-serve: connection error: {e}"),
             }
         }));
+    }
+    for stream in open.lock().expect("connection registry").values() {
+        let _ = stream.shutdown(Shutdown::Read);
     }
     for c in conns {
         let _ = c.join();

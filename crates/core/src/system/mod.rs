@@ -1015,23 +1015,6 @@ impl System {
                 table.map_vpn(vpn);
             }
         }
-        // Whole-wavefront L1 probe for divergent accesses: one
-        // struct-of-arrays pass over the deduped pages resolves every
-        // lane's L1 residency at once and pulls the TLB index's probe
-        // chains into cache before the serial per-page walk below
-        // re-resolves them with full timing and LRU bookkeeping.
-        // Narrow accesses skip it — batching has fixed overhead that
-        // only a wide batch amortizes. `probe_many` is read-only (no
-        // LRU, no counters), so the simulated outcome is bit-identical.
-        if coalesced.pages.len() >= 8 {
-            let mut batch = [TranslationKey::for_vpn(Vpn(0)); 64];
-            for chunk in coalesced.pages.chunks(64) {
-                for (k, &vpn) in batch.iter_mut().zip(chunk) {
-                    *k = TranslationKey { vpn, vmid: vm, vrf: gtr_vm::addr::VrfId::default() };
-                }
-                std::hint::black_box(self.cus[cu_idx].l1_tlb.probe_many(&batch[..chunk.len()]));
-            }
-        }
         // Translate each unique page.
         page_done.clear();
         for &vpn in &coalesced.pages {

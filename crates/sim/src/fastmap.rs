@@ -3,11 +3,12 @@
 //! `std::collections::HashMap` pays SipHash plus per-lookup hasher
 //! state for DoS resistance the simulator does not need: every key is
 //! an internal simulation identifier (VPN, translation key), never
-//! attacker-controlled. [`FastMap`] instead uses a fixed 64-bit mixer
-//! over [`FastKey::hash64`], linear probing over a power-of-two slot
-//! array, and backward-shift deletion (no tombstones), which keeps
-//! probe chains short no matter how many insert/remove cycles the
-//! translate path performs.
+//! attacker-controlled. [`FastMap`] instead takes each key's home slot
+//! by multiplicative (Fibonacci) hashing of [`FastKey::hash64`] — one
+//! multiply and a shift that keeps the product's top bits — with linear
+//! probing over a power-of-two slot array and backward-shift deletion
+//! (no tombstones), which keeps probe chains short no matter how many
+//! insert/remove cycles the translate path performs.
 //!
 //! Iteration order is unspecified (it follows the slot array), so
 //! callers must only iterate for order-independent aggregation.
@@ -16,8 +17,8 @@
 /// to produce a well-distributed 64-bit hash of themselves.
 pub trait FastKey: Copy + Eq {
     /// A 64-bit value identifying this key. It does not need to be
-    /// avalanched — [`FastMap`] runs it through a finalizer — but
-    /// distinct keys must produce distinct values for the map to
+    /// avalanched — [`FastMap`] spreads it by a multiplicative hash —
+    /// but distinct keys should produce distinct values for the map to
     /// distinguish them cheaply (equality is still checked on probe).
     fn hash64(self) -> u64;
 }
@@ -40,15 +41,10 @@ impl FastKey for usize {
     }
 }
 
-/// SplitMix64 finalizer: full-avalanche mix of a 64-bit value.
-#[inline]
-fn mix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// 2^64 / golden ratio, rounded to odd: the Fibonacci-hashing
+/// multiplier. The product's top bits, which the home slot takes,
+/// depend on every bit of the key.
+const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// An open-addressed hash map with linear probing and backward-shift
 /// deletion.
@@ -69,6 +65,9 @@ fn mix(mut x: u64) -> u64 {
 pub struct FastMap<K: FastKey, V> {
     slots: Vec<Option<(K, V)>>,
     len: usize,
+    /// `64 - log2(slots.len())`: shifting the hash product right by
+    /// this leaves exactly a slot index.
+    shift: u32,
 }
 
 impl<K: FastKey, V> Default for FastMap<K, V> {
@@ -87,7 +86,12 @@ impl<K: FastKey, V> FastMap<K, V> {
     pub fn with_capacity(cap: usize) -> Self {
         // Keep load factor <= 3/4 at `cap` entries.
         let slots = (cap * 4 / 3 + 1).next_power_of_two().max(8);
-        Self { slots: (0..slots).map(|_| None).collect(), len: 0 }
+        Self::with_slots(slots)
+    }
+
+    fn with_slots(slots: usize) -> Self {
+        let shift = 64 - slots.trailing_zeros();
+        Self { slots: (0..slots).map(|_| None).collect(), len: 0, shift }
     }
 
     /// Number of entries.
@@ -113,13 +117,20 @@ impl<K: FastKey, V> FastMap<K, V> {
         self.slots.len() - 1
     }
 
+    /// `key`'s home slot: the top `log2(slots)` bits of its hash times
+    /// [`FIB`].
+    #[inline]
+    fn home(&self, key: K) -> usize {
+        (key.hash64().wrapping_mul(FIB) >> self.shift) as usize
+    }
+
     /// Finds `key`'s slot: `(index, true)` when present, or the empty
     /// slot where it would be inserted `(index, false)`. The load
     /// factor bound guarantees an empty slot exists.
     #[inline]
     fn probe(&self, key: K) -> (usize, bool) {
         let mask = self.mask();
-        let mut i = (mix(key.hash64()) as usize) & mask;
+        let mut i = self.home(key);
         loop {
             match &self.slots[i] {
                 None => return (i, false),
@@ -133,10 +144,9 @@ impl<K: FastKey, V> FastMap<K, V> {
         if (self.len + 1) * 4 <= self.slots.len() * 3 {
             return;
         }
-        let bigger = self.slots.len() * 2;
-        let old = std::mem::replace(&mut self.slots, (0..bigger).map(|_| None).collect());
-        self.len = 0;
-        for (k, v) in old.into_iter().flatten() {
+        let bigger = Self::with_slots(self.slots.len() * 2);
+        let old = std::mem::replace(self, bigger);
+        for (k, v) in old.slots.into_iter().flatten() {
             self.insert(k, v);
         }
     }
@@ -159,43 +169,6 @@ impl<K: FastKey, V> FastMap<K, V> {
     #[inline]
     pub fn contains(&self, key: K) -> bool {
         self.probe(key).1
-    }
-
-    /// Presence bitmask for a small batch of keys: bit `i` is set when
-    /// `keys[i]` is in the map.
-    ///
-    /// The batch runs as two struct-of-arrays passes: one fixed-trip
-    /// loop hashing every key (vectorizable — the SplitMix64 finalizer
-    /// is straight-line multiply/xor work) and one probe loop over the
-    /// precomputed home slots, so consecutive probes overlap their
-    /// cache misses instead of serializing hash→probe→hash→probe as
-    /// repeated [`Self::contains`] calls would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys.len() > 64` (one wavefront's deduped lanes).
-    pub fn contains_many(&self, keys: &[K]) -> u64 {
-        assert!(keys.len() <= 64, "batch wider than a wavefront");
-        let mask = self.mask();
-        let mut homes = [0usize; 64];
-        for (h, &k) in homes.iter_mut().zip(keys) {
-            *h = (mix(k.hash64()) as usize) & mask;
-        }
-        let mut present = 0u64;
-        for (i, (&home, &key)) in homes.iter().zip(keys).enumerate() {
-            let mut j = home;
-            loop {
-                match &self.slots[j] {
-                    None => break,
-                    Some((k, _)) if *k == key => {
-                        present |= 1 << i;
-                        break;
-                    }
-                    _ => j = (j + 1) & mask,
-                }
-            }
-        }
-        present
     }
 
     /// Inserts `key -> value`, returning the previous value if any.
@@ -240,7 +213,7 @@ impl<K: FastKey, V> FastMap<K, V> {
         let mask = self.mask();
         let mut j = (hole + 1) & mask;
         while let Some((k, _)) = &self.slots[j] {
-            let ideal = (mix(k.hash64()) as usize) & mask;
+            let ideal = self.home(*k);
             // Shift `j` into the hole iff the hole lies between the
             // entry's ideal slot and its current one (cyclically) —
             // i.e. the entry's probe chain passes over the hole.
@@ -345,53 +318,41 @@ mod tests {
 
     #[test]
     fn randomized_against_std_hashmap() {
-        let mut rng = SplitMix64::new(0xFA57);
-        let mut fast: FastMap<u64, u64> = FastMap::new();
-        let mut std_map: HashMap<u64, u64> = HashMap::new();
-        for _ in 0..20_000 {
-            let key = rng.next_below(512); // small key space forces reuse
-            match rng.next_below(4) {
-                0 | 1 => {
-                    let v = rng.next_u64();
-                    assert_eq!(fast.insert(key, v), std_map.insert(key, v));
+        // Small key spaces force reuse. Besides random keys, the spaces
+        // the simulator produces: sequential VPNs, 512-page (2 MB)
+        // strides, and translation keys that differ only in the VM-ID
+        // and VRF-ID bits `TranslationKey::hash64` packs above the VPN.
+        let random: Vec<u64> = (0..512).collect();
+        let sequential: Vec<u64> = (0..512).map(|i| 0x7_f000 + i).collect();
+        let strided: Vec<u64> = (0..512).map(|i| i * 512).collect();
+        let ids: Vec<u64> = (0..8u64)
+            .flat_map(|vpn| (0..8u64).map(move |vm| (vpn, vm)))
+            .flat_map(|(vpn, vm)| {
+                (0..4u64).map(move |vrf| vpn ^ ((vm & 0b11) << 56) ^ (vrf << 58) ^ ((vm >> 2) << 61))
+            })
+            .collect();
+        for (space, keys) in [random, sequential, strided, ids].iter().enumerate() {
+            let mut rng = SplitMix64::new(0xFA57 + space as u64);
+            let mut fast: FastMap<u64, u64> = FastMap::new();
+            let mut std_map: HashMap<u64, u64> = HashMap::new();
+            for _ in 0..20_000 {
+                let key = keys[rng.next_below(keys.len() as u64) as usize];
+                match rng.next_below(4) {
+                    0 | 1 => {
+                        let v = rng.next_u64();
+                        assert_eq!(fast.insert(key, v), std_map.insert(key, v));
+                    }
+                    2 => assert_eq!(fast.remove(key), std_map.remove(&key)),
+                    _ => assert_eq!(fast.get(key), std_map.get(&key)),
                 }
-                2 => assert_eq!(fast.remove(key), std_map.remove(&key)),
-                _ => assert_eq!(fast.get(key), std_map.get(&key)),
+                assert_eq!(fast.len(), std_map.len(), "key space {space}");
             }
-            assert_eq!(fast.len(), std_map.len());
+            let mut fast_pairs: Vec<(u64, u64)> = fast.iter().map(|(k, v)| (*k, *v)).collect();
+            let mut std_pairs: Vec<(u64, u64)> = std_map.iter().map(|(k, v)| (*k, *v)).collect();
+            fast_pairs.sort_unstable();
+            std_pairs.sort_unstable();
+            assert_eq!(fast_pairs, std_pairs, "key space {space}");
         }
-        let mut fast_pairs: Vec<(u64, u64)> = fast.iter().map(|(k, v)| (*k, *v)).collect();
-        let mut std_pairs: Vec<(u64, u64)> = std_map.iter().map(|(k, v)| (*k, *v)).collect();
-        fast_pairs.sort_unstable();
-        std_pairs.sort_unstable();
-        assert_eq!(fast_pairs, std_pairs);
-    }
-
-    #[test]
-    fn contains_many_matches_contains() {
-        let mut rng = SplitMix64::new(0xBA7C);
-        let mut m: FastMap<u64, u64> = FastMap::new();
-        for _ in 0..300 {
-            m.insert(rng.next_below(512), 0);
-        }
-        let batch: Vec<u64> = (0..64).map(|_| rng.next_below(512)).collect();
-        for width in [0, 1, 7, 64] {
-            let keys = &batch[..width];
-            let mask = m.contains_many(keys);
-            for (i, &k) in keys.iter().enumerate() {
-                assert_eq!(mask & (1 << i) != 0, m.contains(k), "key {k} at lane {i}");
-            }
-            if width < 64 {
-                assert_eq!(mask >> width, 0, "no stray bits past the batch");
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "wavefront")]
-    fn contains_many_rejects_wide_batches() {
-        let m: FastMap<u64, u64> = FastMap::new();
-        m.contains_many(&[0; 65]);
     }
 
     #[test]

@@ -300,6 +300,10 @@ impl Timeline {
     /// is pruned.
     pub const PRUNE_MARGIN: Cycle = 1_000_000;
 
+    /// How many intervals [`Self::reserve`] steps back from the newest
+    /// one before it bisects the whole list.
+    const TAIL_SCAN: usize = 8;
+
     /// Creates an idle timeline.
     pub fn new() -> Self {
         Self::default()
@@ -320,8 +324,7 @@ impl Timeline {
         if service == 0 {
             return at;
         }
-        // First interval that could interact with an arrival at `at`.
-        let mut i = self.busy.partition_point(|&(_, e)| e <= at);
+        let mut i = self.first_live(at);
         let mut cursor = at;
         while i < self.busy.len() {
             let (s, e) = self.busy[i];
@@ -348,6 +351,23 @@ impl Timeline {
         start
     }
 
+    /// Index of the first interval ending after `at` — the first that
+    /// could interact with an arrival at `at`. Arrivals land almost
+    /// always within an interval or two of the newest one, so this
+    /// steps back from the tail and bisects only after
+    /// [`Self::TAIL_SCAN`] steps. Ends are strictly increasing, so
+    /// both searches return the same index.
+    #[inline]
+    fn first_live(&self, at: Cycle) -> usize {
+        let n = self.busy.len();
+        let scan_from = n.saturating_sub(Self::TAIL_SCAN);
+        match (scan_from..n).rev().find(|&i| self.busy[i].1 <= at) {
+            Some(i) => i + 1,
+            None if scan_from == 0 => 0,
+            None => self.busy.partition_point(|&(_, e)| e <= at),
+        }
+    }
+
     /// Number of tracked future intervals (diagnostics).
     pub fn interval_count(&self) -> usize {
         self.busy.len()
@@ -357,6 +377,87 @@ impl Timeline {
 #[cfg(test)]
 mod timeline_tests {
     use super::*;
+    use crate::rng::SplitMix64;
+    use std::collections::VecDeque;
+
+    /// `Timeline::reserve` with the whole-list bisection it used before
+    /// the tail-anchored search, kept as the property tests' reference.
+    #[derive(Default)]
+    struct Reference {
+        busy: VecDeque<(Cycle, Cycle)>,
+        max_arrival: Cycle,
+    }
+
+    impl Reference {
+        fn reserve(&mut self, at: Cycle, service: Cycle) -> Cycle {
+            self.max_arrival = self.max_arrival.max(at);
+            let horizon = self.max_arrival.saturating_sub(Timeline::PRUNE_MARGIN);
+            while self.busy.front().is_some_and(|&(_, e)| e <= horizon) {
+                self.busy.pop_front();
+            }
+            if service == 0 {
+                return at;
+            }
+            let mut i = self.busy.partition_point(|&(_, e)| e <= at);
+            let mut cursor = at;
+            while i < self.busy.len() {
+                let (s, e) = self.busy[i];
+                if s >= cursor + service {
+                    break;
+                }
+                cursor = cursor.max(e);
+                i += 1;
+            }
+            let start = cursor;
+            let end = start + service;
+            let merge_prev = i > 0 && self.busy[i - 1].1 == start;
+            let merge_next = i < self.busy.len() && self.busy[i].0 == end;
+            match (merge_prev, merge_next) {
+                (true, true) => {
+                    self.busy[i - 1].1 = self.busy[i].1;
+                    self.busy.remove(i);
+                }
+                (true, false) => self.busy[i - 1].1 = end,
+                (false, true) => self.busy[i].0 = start,
+                (false, false) => self.busy.insert(i, (start, end)),
+            }
+            start
+        }
+    }
+
+    #[test]
+    fn tail_anchored_search_matches_bisection() {
+        let mut deep = 0; // arrivals whose first live interval lies past the tail scan
+        for seed in 0..8 {
+            let mut rng = SplitMix64::new(0x71E1 + seed);
+            let mut t = Timeline::new();
+            let mut r = Reference::default();
+            let mut newest: Cycle = 0;
+            for step in 0..20_000 {
+                let at = match rng.next_below(8) {
+                    // A rare jump far ahead exercises pruning.
+                    0 if step % 500 == 0 => newest + Timeline::PRUNE_MARGIN / 2,
+                    0..=2 => newest + rng.next_below(64),
+                    3..=5 => newest.saturating_sub(rng.next_below(64)),
+                    6 => newest.saturating_sub(rng.next_below(50_000)),
+                    _ => newest.saturating_sub(rng.next_below(2 * Timeline::PRUNE_MARGIN)),
+                };
+                let service = match rng.next_below(4) {
+                    0 => 0,
+                    1 => 1,
+                    _ => 1 + rng.next_below(40),
+                };
+                let live = r.busy.partition_point(|&(_, e)| e <= at);
+                if r.busy.len() - live > Timeline::TAIL_SCAN {
+                    deep += 1;
+                }
+                assert_eq!(t.reserve(at, service), r.reserve(at, service), "seed {seed} step {step}");
+                assert_eq!(t.busy, r.busy, "seed {seed} step {step}");
+                newest = newest.max(at);
+            }
+        }
+        assert!(deep > 1_000, "only {deep} arrivals reached the bisection fallback");
+    }
 
     #[test]
     fn back_to_back_reservations_merge() {

@@ -423,34 +423,6 @@ impl Tlb {
         Translation::with_span(key, ppn, span)
     }
 
-    /// Batched [`Self::probe`] over one wavefront's deduped keys: bit
-    /// `i` of the result is set when `keys[i]` is resident. Like
-    /// `probe`, touches no LRU state and no counters — the whole-batch
-    /// tag compare runs as one struct-of-arrays pass over the index
-    /// (see [`FastMap::contains_many`]) instead of one dependent
-    /// hash-probe chain per page.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `keys.len() > 64`.
-    pub fn probe_many(&self, keys: &[TranslationKey]) -> u64 {
-        let sub_entry = matches!(&self.tenancy, Some(t) if t.sub_entry());
-        // Sub-entry residency depends on the per-tenant mask, and
-        // coalesced residency on base-masked covering probes — neither
-        // is pure tag presence, so both fall back to per-key probes.
-        if sub_entry || self.coalescing.is_some() {
-            let mut mask = 0u64;
-            for (i, &key) in keys.iter().enumerate() {
-                if self.probe(key).is_some() {
-                    mask |= 1 << i;
-                }
-            }
-            mask
-        } else {
-            self.index.contains_many(keys)
-        }
-    }
-
     /// Inserts a translation, returning the evicted victim if the set
     /// was full. Re-inserting an existing key refreshes its frame and
     /// LRU position without eviction.
@@ -922,21 +894,6 @@ mod tests {
         let v = t.insert(tx(3)).unwrap();
         assert_eq!(v.key, k(1));
         assert_eq!(t.stats().total(), 0, "probe must not count");
-    }
-
-    #[test]
-    fn probe_many_matches_single_probes() {
-        let mut t = Tlb::new(TlbConfig::set_associative(32, 4, 1));
-        for v in 0..24 {
-            t.insert(tx(v * 3));
-        }
-        let keys: Vec<TranslationKey> = (0..64).map(|v| k(v)).collect();
-        let mask = t.probe_many(&keys);
-        for (i, &key) in keys.iter().enumerate() {
-            assert_eq!(mask & (1 << i) != 0, t.probe(key).is_some(), "lane {i}");
-        }
-        assert_eq!(t.stats().total(), 0, "probe_many must not count");
-        assert_eq!(t.probe_many(&[]), 0);
     }
 
     #[test]

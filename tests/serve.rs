@@ -501,9 +501,39 @@ fn large_responses_are_not_held_back() {
         fastest < std::time::Duration::from_millis(20),
         "every hot round trip took at least {fastest:?}: the response was held back"
     );
-    // Close this connection: shutdown waits for open ones to end.
-    drop((reader, writer));
     let bye = submit_lines(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]).expect("shutdown");
     assert_eq!(bye, [r#"{"ok":"shutdown"}"#.to_string()]);
     server.join().expect("server thread").expect("clean server exit");
+}
+
+/// `{"cmd":"shutdown"}` stops the server even while another client
+/// keeps an idle connection open: the server ends that connection's
+/// blocked read instead of waiting for the client to close it.
+#[test]
+fn shutdown_returns_while_an_idle_client_stays_connected() {
+    let state = Arc::new(ServeState::new(1, None, None));
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    let addr = listener.local_addr().expect("bound address");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = done_tx.send(run_server(state, listener));
+    });
+    // Connected, answered once, then idle: the server's reader for
+    // this connection is blocked when the shutdown arrives.
+    let mut idle = std::net::TcpStream::connect(addr).expect("connect idle client");
+    idle.write_all(b"{\"cmd\":\"stats\"}\n").expect("send");
+    let mut reader = BufReader::new(idle.try_clone().expect("clone stream"));
+    let mut counters = String::new();
+    reader.read_line(&mut counters).expect("counters");
+    assert!(counters.contains("counters"), "{counters}");
+
+    let bye = submit_lines(addr, &[r#"{"cmd":"shutdown"}"#.to_string()]).expect("shutdown");
+    assert_eq!(bye, [r#"{"ok":"shutdown"}"#.to_string()]);
+    let result = done_rx
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("run_server must return while the idle client is still connected");
+    result.expect("clean server exit");
+    // The idle client's connection was ended by the server.
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("read after stop"), 0, "{rest}");
 }
