@@ -10,6 +10,11 @@ cargo build --release
 # for --threads 1/2/4/8, exact and sampled.
 cargo test -q --workspace
 
+# The benchmark (perfbench/) is a package of its own, outside the
+# workspace, that drives the simulator crates through their public
+# API: build and test it so an API change there cannot break it unseen.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 # Rustdoc must build warning-free (the workspace warns on
 # missing_docs: every public item is documented).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q

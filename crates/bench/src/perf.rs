@@ -892,17 +892,39 @@ pub fn check_serve_against(
 }
 
 /// Current `HEAD` commit hash, or `"unknown"` outside a git checkout.
+/// A tree with uncommitted changes to tracked files is stamped
+/// `<hash>+dirty` (see [`is_dirty`]): it measures code that is not
+/// `HEAD`, and [`append_history`] must not let its record and one
+/// really taken at `HEAD` replace each other.
 pub fn git_commit() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .current_dir(repo_root())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .current_dir(repo_root())
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+            .map(|s| s.trim().to_string())
+    };
+    let Some(hash) = git(&["rev-parse", "--short", "HEAD"]).filter(|s| !s.is_empty()) else {
+        return "unknown".to_string();
+    };
+    match git(&["status", "--porcelain", "--untracked-files=no"]) {
+        Some(status) if is_dirty(&status) => format!("{hash}+dirty"),
+        _ => hash,
+    }
+}
+
+/// Whether `git status --porcelain` output names a changed file other
+/// than a root-level `BENCH_*.json` history. The histories are written
+/// by the measurements themselves, so a record appended at a clean
+/// commit must not mark the next measurement of the same code dirty.
+pub fn is_dirty(porcelain: &str) -> bool {
+    porcelain.lines().filter_map(|l| l.get(3..)).any(|path| {
+        let history = path.starts_with("BENCH_") && path.ends_with(".json") && !path.contains('/');
+        !history
+    })
 }
 
 /// The workspace root (two levels above this crate's manifest).
@@ -1058,6 +1080,33 @@ mod tests {
         let doc = append_history(&doc, &r2b.to_json());
         assert_eq!(split_history(&doc).len(), 2);
         assert!((latest_matrix_report(&doc).unwrap().cells_per_sec - 6.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn dirty_records_never_replace_their_parents() {
+        let doc = append_history("", &matrix_report("abc").to_json());
+        let doc = append_history(&doc, &matrix_report("abc+dirty").to_json());
+        let commits = |doc: &str| -> Vec<String> {
+            split_history(doc)
+                .into_iter()
+                .map(|r| MatrixPerfReport::from_json(r).unwrap().commit)
+                .collect()
+        };
+        assert_eq!(commits(&doc), ["abc", "abc+dirty"], "the clean record survives");
+        let mut again = matrix_report("abc+dirty");
+        again.cells_per_sec = 7.0;
+        let doc = append_history(&doc, &again.to_json());
+        assert_eq!(commits(&doc), ["abc", "abc+dirty"], "re-measuring a dirty tree replaces");
+        assert!((latest_matrix_report(&doc).unwrap().cells_per_sec - 7.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn bench_histories_alone_leave_the_tree_clean() {
+        assert!(!is_dirty(""));
+        assert!(!is_dirty(" M BENCH_sim_throughput.json\nM  BENCH_matrix_paper.json\n"));
+        assert!(is_dirty(" M BENCH_sim_throughput.json\n M crates/core/src/lib.rs\n"));
+        assert!(is_dirty("M  perfbench/BENCH_x.json\n"), "only root-level histories");
+        assert!(is_dirty(" M BENCHMARK.json\n"));
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! A 16 KB, 8-way I-cache shared by a group of CUs. Every line carries
 //! a mode bit: **IC-mode** lines hold instructions, **Tx-mode** lines
-//! hold 1 or 8 translations (Fig 8). Translations are indexed
-//! *direct-mapped* over the whole line array (Fig 9) so the existing
-//! per-way comparators are reused; the price is a serialized way scan
-//! (+16 cycles) and base-delta decompression (+4 cycles), charged by
-//! the timing layer from [`crate::config::ReachConfig`].
+//! hold 1 or 8 translations (Fig 8) under one compressed tag (8-bit
+//! deltas, Fig 10c). Translations are indexed *direct-mapped* over the
+//! whole line array (Fig 9) so the existing per-way comparators are
+//! reused; the price is a serialized way scan (+16 cycles) and
+//! base-delta decompression (+4 cycles), charged by the timing layer
+//! from [`crate::config::ReachConfig`].
 //!
 //! Replacement follows §4.3.2: instruction fills prefer invalid lines,
 //! then the LRU *Tx-mode* line, then the LRU instruction line; a
@@ -16,128 +17,37 @@
 //! instructions. §4.3.3's kernel-boundary flush invalidates instruction
 //! lines so the next kernel starts with reclaimable capacity.
 //!
-//! # Multi-tenancy
-//!
-//! With a [`TenancyConfig`] installed ([`TxIcache::set_tenancy`]) the
-//! *translation* side honors the three sharing policies of
-//! `gtr_vm::tenancy` (TENANCY.md §3): *partitioned* stripes the
-//! direct-mapped Tx line space across tenants, *shared* keeps the
-//! untenanted full-key tag check, and *sub-entry* (arXiv 2404.18361
-//! §4) tags lanes with a canonical VM-ID-zeroed key plus a per-tenant
-//! valid mask. The *instruction* side is never partitioned —
-//! concurrent kernels already share fetch capacity set-associatively
-//! and instruction lines carry no address-space state to isolate.
+//! Everything inside a Tx line — the way group, lookup, fill,
+//! shootdown, tenancy and coalescing — is the victim-store core of
+//! [`crate::tx_ways`], shared with the reconfigurable LDS. This module
+//! adds the instruction side, the line states, the line-level LRU a
+//! translation hit or insert refreshes, the kernel-boundary flush and
+//! Eq 1's utilization. Tenancy applies to the *translation* side only:
+//! the instruction side is never partitioned — concurrent kernels
+//! already share fetch capacity set-associatively and instruction lines
+//! carry no address-space state to isolate.
 
 use gtr_sim::resource::TrackedPort;
 use gtr_sim::stats::HitMiss;
-use gtr_vm::addr::{Ppn, Translation, TranslationKey, VmId, Vpn};
-use gtr_vm::tenancy::{self, TenancyConfig, MAX_TENANTS};
-use gtr_vm::tlb::CoalescingCounters;
+use gtr_vm::addr::{Translation, TranslationKey, VmId};
+use gtr_vm::tenancy::TenancyConfig;
 
-use crate::compress::{match_mask, TagGroup};
+use crate::compress::TagGroup;
 use crate::config::{Replacement, TxPerLine};
+use crate::tx_ways::{TxCore, TxCounters, TxGroup, TxInsert, TxWays};
 
 /// Delta lanes per Tx line: the Fig 10c layout packs eight 8-bit
 /// deltas beside the 32-bit base, so the whole-line compare is one
 /// 8-wide decode-and-match pass.
 const TX_LANES: usize = 8;
 
-/// The translation payload of one Tx-mode line, struct-of-arrays:
-/// [`match_mask`] compares the decoded VPN lane vector in a single
-/// branchless pass (the eight parallel comparators of Fig 10c) and the
-/// remaining lanes are touched only for the matching way. Boxed so
-/// IC-mode lines stay two words and the fetch way-scan stays dense.
-#[derive(Debug, Clone)]
-struct TxSlab {
-    tags: TagGroup,
-    /// Decoded full VPNs — full, not delta-only, for the same
-    /// cross-instance shootdown-probe reason as the LDS (see
-    /// [`match_mask`]).
-    vpns: [u64; TX_LANES],
-    keys: [TranslationKey; TX_LANES],
-    ppns: [Ppn; TX_LANES],
-    last_use: [u64; TX_LANES],
-    /// Per-tenant valid masks per lane, meaningful only under
-    /// sub-entry sharing (arXiv 2404.18361 §4): bit *t* set means
-    /// tenant *t* shares the lane's canonical-key translation.
-    tmasks: [u8; TX_LANES],
-    /// Coalesced reach per lane: the lane covers `2^span` contiguous
-    /// pages from its (span-aligned) base VPN. Always 0 with
-    /// coalescing off.
-    spans: [u8; TX_LANES],
-    /// Occupancy bitmask over the first `tx_per_line.slots()` lanes.
-    valid: u32,
-}
-
-impl TxSlab {
-    /// A fresh slab holding only `(key, ppn)` in lane 0.
-    fn first(tag: u64, key: TranslationKey, ppn: Ppn, tick: u64, tmask: u8, span: u8) -> Box<Self> {
-        let mut tags = TagGroup::icache();
-        assert!(tags.try_admit(tag), "empty group admits");
-        let mut slab = Box::new(Self {
-            tags,
-            vpns: [0; TX_LANES],
-            keys: [TranslationKey::for_vpn(Vpn(0)); TX_LANES],
-            ppns: [Ppn(0); TX_LANES],
-            last_use: [0; TX_LANES],
-            tmasks: [0; TX_LANES],
-            spans: [0; TX_LANES],
-            valid: 0,
-        });
-        slab.set(0, key, ppn, tick, tmask, span);
-        slab
-    }
-
-    /// Lane holding `key`, in slot order (the order the old early-exit
-    /// scan returned), or `None`.
-    fn find(&self, slots: usize, key: TranslationKey) -> Option<usize> {
-        let mut m = match_mask(&self.vpns[..slots], self.valid, key.vpn.0);
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            if self.keys[i] == key {
-                return Some(i);
-            }
-            m &= m - 1;
-        }
-        None
-    }
-
-    fn set(&mut self, i: usize, key: TranslationKey, ppn: Ppn, tick: u64, tmask: u8, span: u8) {
-        self.vpns[i] = key.vpn.0;
-        self.keys[i] = key;
-        self.ppns[i] = ppn;
-        self.last_use[i] = tick;
-        self.tmasks[i] = tmask;
-        self.spans[i] = span;
-        self.valid |= 1 << i;
-    }
-
-    fn resident(&self) -> usize {
-        self.valid.count_ones() as usize
-    }
-
-    /// The translation forwarded when lane `i` is displaced: the full
-    /// key, or under sub-entry sharing the canonical key retagged with
-    /// its lowest-numbered sharer ([`tenancy::representative`]). A
-    /// coalesced lane forwards its whole span.
-    fn victim(&self, i: usize, sub: bool) -> Translation {
-        let key =
-            if sub { tenancy::representative(self.keys[i], self.tmasks[i]) } else { self.keys[i] };
-        Translation::with_span(key, self.ppns[i], self.spans[i])
-    }
-}
-
-/// Iterates the set-bit positions of an occupancy mask in ascending
-/// (slot) order.
-fn ones(mask: u32) -> impl Iterator<Item = usize> {
-    (0..u32::BITS as usize).filter(move |i| mask & (1 << i) != 0)
-}
-
 #[derive(Debug, Clone)]
 enum LineState {
     Invalid,
     Inst { tag: u64 },
-    Tx(Box<TxSlab>),
+    /// Boxed so IC-mode lines stay two words and the fetch way-scan
+    /// stays dense.
+    Tx(Box<TxWays<TX_LANES>>),
 }
 
 #[derive(Debug, Clone)]
@@ -146,33 +56,36 @@ struct Line {
     last_use: u64,
 }
 
-/// Outcome of a translation insert attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IcInsert {
-    /// Stored; `evicted` must be forwarded to the L2 TLB
-    /// (Fig 12 flow ❶→❷→❸→❺→❻).
-    Inserted {
-        /// Victim displaced by this insert, if any.
-        evicted: Option<Translation>,
-    },
-    /// The direct-mapped line holds instructions (instruction-aware
-    /// policy): the candidate is forwarded to the L2 TLB.
-    Bypassed,
+impl TxGroup<TX_LANES> for Line {
+    fn tx(&self) -> Option<&TxWays<TX_LANES>> {
+        match &self.state {
+            LineState::Tx(ways) => Some(ways),
+            _ => None,
+        }
+    }
+
+    fn tx_mut(&mut self) -> Option<&mut TxWays<TX_LANES>> {
+        match &mut self.state {
+            LineState::Tx(ways) => Some(ways),
+            _ => None,
+        }
+    }
+
+    /// A translation hit also refreshes the line against instruction
+    /// fills (§4.3.2's LRU Tx-line victim choice).
+    fn touch(&mut self, tick: u64) {
+        self.last_use = tick;
+    }
 }
 
 /// Statistics of one reconfigurable I-cache instance.
 #[derive(Debug, Clone, Default)]
 pub struct TxIcacheStats {
+    /// The translation-side counters shared with the LDS (`bypassed`
+    /// counts inserts refused by an IC-mode direct-mapped line).
+    pub tx: TxCounters,
     /// Instruction fetch hits/misses.
     pub inst: HitMiss,
-    /// Translation lookup hits/misses.
-    pub tx_lookups: HitMiss,
-    /// Successful translation inserts.
-    pub tx_inserts: u64,
-    /// Translation inserts bypassed (IC-mode direct-mapped line).
-    pub tx_bypassed: u64,
-    /// Translations evicted by newer translations.
-    pub tx_evictions: u64,
     /// Translations evicted by instruction fills.
     pub tx_evicted_by_inst: u64,
     /// Instruction lines evicted by translations (naive policy only).
@@ -181,17 +94,6 @@ pub struct TxIcacheStats {
     pub prefetches: u64,
     /// Instruction lines invalidated by kernel-boundary flushes.
     pub flushed_lines: u64,
-    /// Base-delta compression conflicts.
-    pub compression_conflicts: u64,
-    /// Translations dropped during conflict re-basing.
-    pub conflict_drops: u64,
-    /// Shootdowns that found an entry.
-    pub shootdowns: u64,
-    /// Coalesced-entry counters (all zero with coalescing off). Here
-    /// `splits` counts covering lanes conservatively *dropped* whole by
-    /// a single-page shootdown (victim caches hold clean copies, so no
-    /// buddy bookkeeping is needed).
-    pub coalescing: CoalescingCounters,
 }
 
 /// One reconfigurable I-cache instance (shared by a group of CUs).
@@ -199,30 +101,24 @@ pub struct TxIcacheStats {
 /// # Example
 ///
 /// ```
-/// use gtr_core::icache_tx::{IcInsert, TxIcache};
+/// use gtr_core::icache_tx::TxIcache;
+/// use gtr_core::tx_ways::TxInsert;
 /// use gtr_core::config::{Replacement, TxPerLine};
 /// use gtr_vm::addr::{Ppn, Translation, TranslationKey, Vpn};
 ///
 /// let mut ic = TxIcache::new(16 * 1024, 8, TxPerLine::Eight, Replacement::InstructionAware);
 /// let tx = Translation::new(TranslationKey::for_vpn(Vpn(3)), Ppn(30));
-/// assert!(matches!(ic.insert_tx(tx), IcInsert::Inserted { evicted: None }));
+/// assert!(matches!(ic.insert_tx(tx), TxInsert::Inserted { evicted: None }));
 /// assert_eq!(ic.lookup_tx(tx.key), Some(tx));
 /// ```
 #[derive(Debug, Clone)]
 pub struct TxIcache {
-    lines: Vec<Line>, // index = set * assoc + way
+    /// The line array (index = set * assoc + way), shared by the
+    /// set-associative instruction side and the direct-mapped Tx side.
+    core: TxCore<Line, TX_LANES>,
     sets: usize,
     assoc: usize,
-    tx_per_line: TxPerLine,
     replacement: Replacement,
-    /// Capacity-sharing policy between concurrent tenants; `None`
-    /// (the default) is bit-identical to the untenanted structure.
-    tenancy: Option<TenancyConfig>,
-    /// Coalesced (variable-reach) lanes: `Some(max)` lets one lane map
-    /// up to `2^max` contiguous pages; `None` is the classic
-    /// one-page-per-lane default.
-    coalescing: Option<u8>,
-    tick: u64,
     fills_this_kernel: u64,
     port: TrackedPort,
     stats: TxIcacheStats,
@@ -237,72 +133,47 @@ impl TxIcache {
     pub fn new(bytes: u32, assoc: usize, tx_per_line: TxPerLine, replacement: Replacement) -> Self {
         let line_count = (bytes / 64) as usize;
         assert!(assoc > 0 && line_count.is_multiple_of(assoc), "lines must divide into ways");
-        assert!(tx_per_line.slots() <= TX_LANES, "tx packing exceeds SoA lanes");
+        let lines =
+            (0..line_count).map(|_| Line { state: LineState::Invalid, last_use: 0 }).collect();
         Self {
-            lines: (0..line_count)
-                .map(|_| Line { state: LineState::Invalid, last_use: 0 })
-                .collect(),
+            core: TxCore::new(lines, tx_per_line.slots()),
             sets: line_count / assoc,
             assoc,
-            tx_per_line,
             replacement,
-            tenancy: None,
-            coalescing: None,
-            tick: 0,
             fills_this_kernel: 0,
             port: TrackedPort::new(),
             stats: TxIcacheStats::default(),
         }
     }
 
-    /// Installs a tenancy policy (TENANCY.md §3). Must be called while
-    /// the structure holds no translations, so every resident entry
-    /// was inserted under one consistent tagging scheme.
+    /// Installs a tenancy policy on the translation side (TENANCY.md
+    /// §3; see [`crate::tx_ways`]).
     ///
     /// # Panics
     ///
     /// Panics if any translation is already resident.
     pub fn set_tenancy(&mut self, tenancy: TenancyConfig) {
-        assert!(self.resident_tx() == 0, "tenancy policy must be set before first insert");
-        self.tenancy = Some(tenancy);
+        self.core.set_tenancy(tenancy);
     }
 
-    /// Enables coalesced (variable-reach) lanes: one lane may hold a
-    /// run of up to `2^max_span_log2` contiguous pages (arXiv
-    /// 2110.08613), mirroring [`gtr_vm::tlb::Tlb::set_coalescing`].
-    /// Must be called while no translations are resident.
+    /// Enables coalesced lanes of up to `2^max_span_log2` pages (see
+    /// [`crate::tx_ways`]).
     ///
     /// # Panics
     ///
     /// Panics if any translation is already resident.
     pub fn set_coalescing(&mut self, max_span_log2: Option<u8>) {
-        assert!(self.resident_tx() == 0, "coalescing must be set before first insert");
-        self.coalescing = max_span_log2;
-    }
-
-    fn sub_entry(&self) -> bool {
-        self.tenancy.is_some_and(|t| t.sub_entry())
-    }
-
-    /// The key stored in the tag lanes: canonical (VM-ID-zeroed) under
-    /// sub-entry sharing, the full key otherwise.
-    fn store_key(&self, key: TranslationKey) -> TranslationKey {
-        if self.sub_entry() { tenancy::canonical(key) } else { key }
+        self.core.set_coalescing(max_span_log2);
     }
 
     /// Total lines.
     pub fn line_count(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Number of sets (instruction indexing).
-    pub fn sets(&self) -> usize {
-        self.sets
+        self.core.groups.len()
     }
 
     /// Translation slots per Tx line.
     pub fn tx_slots(&self) -> usize {
-        self.tx_per_line.slots()
+        self.core.ways
     }
 
     /// The shared fetch/translation port (Fig 5b idle-gap tracking).
@@ -321,51 +192,16 @@ impl TxIcache {
     /// returns `true` on hit. A miss fills the line according to the
     /// replacement rules.
     pub fn fetch(&mut self, line_addr: u64) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = (line_addr as usize) % self.sets;
-        let tag = line_addr / self.sets as u64;
-        let base = set * self.assoc;
-        // Probe ways.
-        for way in 0..self.assoc {
-            let line = &mut self.lines[base + way];
-            if let LineState::Inst { tag: t } = line.state {
-                if t == tag {
-                    line.last_use = tick;
-                    self.stats.inst.hit();
-                    return true;
-                }
-            }
+        let tick = self.core.tick();
+        let (base, tag) = self.inst_set(line_addr);
+        if let Some(way) = self.inst_way(base, tag) {
+            self.core.groups[base + way].last_use = tick;
+            self.stats.inst.hit();
+            return true;
         }
         self.stats.inst.miss();
-        self.fills_this_kernel += 1;
-        // Victim choice: invalid > LRU Tx > LRU Inst (§4.3.2 rule 1).
-        let victim_way = self.choose_inst_victim(base);
-        let line = &mut self.lines[base + victim_way];
-        if let LineState::Tx(slab) = &line.state {
-            self.stats.tx_evicted_by_inst += slab.resident() as u64;
-        }
-        line.state = LineState::Inst { tag };
-        line.last_use = tick;
+        self.fill_inst(base, tag, tick);
         false
-    }
-
-    fn choose_inst_victim(&self, base: usize) -> usize {
-        let ways = &self.lines[base..base + self.assoc];
-        if let Some(i) = ways.iter().position(|l| matches!(l.state, LineState::Invalid)) {
-            return i;
-        }
-        let lru_of = |pred: &dyn Fn(&LineState) -> bool| {
-            ways.iter()
-                .enumerate()
-                .filter(|(_, l)| pred(&l.state))
-                .min_by_key(|(_, l)| l.last_use)
-                .map(|(i, _)| i)
-        };
-        if let Some(i) = lru_of(&|s| matches!(s, LineState::Tx(_))) {
-            return i;
-        }
-        lru_of(&|s| matches!(s, LineState::Inst { .. })).expect("set is full of inst lines")
     }
 
     /// Prefetches an instruction line (next-line prefetcher): fills it
@@ -373,28 +209,53 @@ impl TxIcache {
     /// toward Eq 1's utilization exactly as the paper's
     /// `IC_prefetches` term does. Returns whether a fill occurred.
     pub fn prefetch(&mut self, line_addr: u64) -> bool {
-        self.tick += 1;
-        let tick = self.tick;
-        let set = (line_addr as usize) % self.sets;
-        let tag = line_addr / self.sets as u64;
-        let base = set * self.assoc;
-        for way in 0..self.assoc {
-            if let LineState::Inst { tag: t } = self.lines[base + way].state {
-                if t == tag {
-                    return false; // already resident
-                }
-            }
+        let tick = self.core.tick();
+        let (base, tag) = self.inst_set(line_addr);
+        if self.inst_way(base, tag).is_some() {
+            return false; // already resident
         }
         self.stats.prefetches += 1;
+        self.fill_inst(base, tag, tick);
+        true
+    }
+
+    /// The first line of `line_addr`'s set and its instruction tag.
+    fn inst_set(&self, line_addr: u64) -> (usize, u64) {
+        ((line_addr as usize) % self.sets * self.assoc, line_addr / self.sets as u64)
+    }
+
+    /// The way of the set at `base` holding instruction tag `tag`.
+    fn inst_way(&self, base: usize, tag: u64) -> Option<usize> {
+        self.core.groups[base..base + self.assoc]
+            .iter()
+            .position(|l| matches!(l.state, LineState::Inst { tag: t } if t == tag))
+    }
+
+    /// Fills instruction tag `tag` into the set at `base`; the victim
+    /// is an invalid line, else the LRU Tx line, else the LRU
+    /// instruction line (§4.3.2 rule 1).
+    fn fill_inst(&mut self, base: usize, tag: u64, tick: u64) {
         self.fills_this_kernel += 1;
-        let victim_way = self.choose_inst_victim(base);
-        let line = &mut self.lines[base + victim_way];
-        if let LineState::Tx(slab) = &line.state {
-            self.stats.tx_evicted_by_inst += slab.resident() as u64;
+        let ways = &self.core.groups[base..base + self.assoc];
+        let lru_of = |pred: fn(&LineState) -> bool| {
+            ways.iter()
+                .enumerate()
+                .filter(|(_, l)| pred(&l.state))
+                .min_by_key(|(_, l)| l.last_use)
+                .map(|(i, _)| i)
+        };
+        let victim = ways
+            .iter()
+            .position(|l| matches!(l.state, LineState::Invalid))
+            .or_else(|| lru_of(|s| matches!(s, LineState::Tx(_))))
+            .or_else(|| lru_of(|s| matches!(s, LineState::Inst { .. })))
+            .expect("set is full of inst lines");
+        let line = &mut self.core.groups[base + victim];
+        if let LineState::Tx(ways) = &line.state {
+            self.stats.tx_evicted_by_inst += ways.resident() as u64;
         }
         line.state = LineState::Inst { tag };
         line.last_use = tick;
-        true
     }
 
     /// Invalidates all instruction lines (§4.3.3 kernel-boundary
@@ -402,7 +263,7 @@ impl TxIcache {
     /// instruction lines invalidated.
     pub fn flush_instructions(&mut self) -> u64 {
         let mut flushed = 0;
-        for line in &mut self.lines {
+        for line in &mut self.core.groups {
             if matches!(line.state, LineState::Inst { .. }) {
                 line.state = LineState::Invalid;
                 flushed += 1;
@@ -414,330 +275,69 @@ impl TxIcache {
 
     // ----- translation side -------------------------------------------------
 
-    /// Direct-mapped line index for a translation (Fig 9).
-    fn tx_line_index(&self, key: TranslationKey) -> usize {
-        let vpn = key.vpn.0 as usize;
-        match self.tenancy {
-            // Partitioned: tenant `t` owns the Tx line stripe ≡ `t`
-            // (mod tenants); remainder lines when the count does not
-            // divide are nobody's quota. `is_tx_line` shares this
-            // remap, so the mode-bit gate and the lookup agree.
-            Some(t) if t.partitioned() => {
-                let tenants = t.tenants as usize;
-                let per = (self.lines.len() / tenants).max(1);
-                ((vpn % per) * tenants + key.vmid.raw() as usize) % self.lines.len()
-            }
-            _ => vpn % self.lines.len(),
-        }
-    }
-
-    fn tx_tag(&self, key: TranslationKey) -> u64 {
-        key.vpn.0 / self.lines.len() as u64
-    }
-
     /// Whether the direct-mapped line for `key` currently operates in
     /// Tx-mode (the 1-cycle mode-bit check that gates the full Tx
-    /// lookup).
+    /// lookup). Follows the partitioned stripe remap.
     pub fn is_tx_line(&self, key: TranslationKey) -> bool {
-        matches!(self.lines[self.tx_line_index(key)].state, LineState::Tx(_))
+        self.core.groups[self.core.index(key)].tx().is_some()
     }
 
     /// Whether a translation lookup for `key` could possibly hit: the
-    /// key's own direct-mapped line is Tx-mode, or — under coalescing —
-    /// any span-base line is (a wide entry lives in its *base* VPN's
-    /// line, which can differ from the probed page's). This is the
-    /// routing gate the system charges the Tx-lookup latency against;
-    /// with coalescing off it is exactly [`Self::is_tx_line`].
+    /// routing gate the system charges the Tx-lookup latency against.
+    /// With coalescing off it is [`Self::is_tx_line`]; under coalescing
+    /// any span-base line in Tx mode counts.
     pub fn may_hold_tx(&self, key: TranslationKey) -> bool {
-        if self.is_tx_line(key) {
-            return true;
-        }
-        let Some(max) = self.coalescing else { return false };
-        let mut prev = key.vpn.0;
-        for k in 1..=max {
-            let bvpn = key.vpn.0 & !((1u64 << k) - 1);
-            if bvpn == prev {
-                continue;
-            }
-            prev = bvpn;
-            if self.is_tx_line(TranslationKey { vpn: Vpn(bvpn), ..key }) {
-                return true;
-            }
-        }
-        false
+        self.core.may_hold(key)
     }
 
-    /// Looks up a translation. A hit refreshes LRU and returns a copy
-    /// for promotion to the requesting CU's L1 TLB; the entry stays
-    /// resident so the other CUs sharing this I-cache can still hit it
-    /// (removal would make one CU's promotion steal entries its three
-    /// neighbours are about to need).
-    ///
-    /// Under coalescing a miss on the exact key falls back to probing
-    /// the masked base of every span level and hits iff a resident
-    /// lane's span covers `key`; the hit returns the base-normalized
-    /// run entry (callers derive the page's frame via
-    /// [`Translation::ppn_for`]).
+    /// Looks up a translation. A hit refreshes LRU (the lane's and the
+    /// line's) and returns a copy for promotion to the requesting CU's
+    /// L1 TLB; the entry stays resident so the other CUs sharing this
+    /// I-cache can still hit it. A covering hit returns the whole run
+    /// (see [`Translation::ppn_for`]).
     pub fn lookup_tx(&mut self, key: TranslationKey) -> Option<Translation> {
-        self.tick += 1;
-        let tick = self.tick;
-        let slots = self.tx_per_line.slots();
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(key.vmid);
-        let max = self.coalescing.unwrap_or(0);
-        let mut prev = u64::MAX;
-        for k in 0..=max {
-            let bvpn = key.vpn.0 & !((1u64 << k) - 1); // k=0: the exact key
-            if bvpn == prev {
-                continue;
-            }
-            prev = bvpn;
-            let bkey = TranslationKey { vpn: Vpn(bvpn), ..key };
-            let idx = self.tx_line_index(bkey);
-            let skey = self.store_key(bkey);
-            let line = &mut self.lines[idx];
-            let LineState::Tx(slab) = &mut line.state else { continue };
-            // A sub-entry hit needs the requester's valid-mask bit on
-            // top of the canonical tag match; without it the lookup
-            // misses and does not refresh LRU. A covering match must
-            // additionally reach the probed page.
-            if let Some(i) = slab.find(slots, skey) {
-                if (sub && slab.tmasks[i] & bit == 0)
-                    || key.vpn.0 - bvpn >= (1u64 << slab.spans[i])
-                {
-                    continue;
-                }
-                slab.last_use[i] = tick;
-                line.last_use = tick;
-                let hit_key = if sub { bkey } else { slab.keys[i] };
-                let hit = Translation::with_span(hit_key, slab.ppns[i], slab.spans[i]);
-                self.stats.tx_lookups.hit();
-                if k > 0 {
-                    self.stats.coalescing.hits += 1;
-                }
-                return Some(hit);
-            }
-        }
-        self.stats.tx_lookups.miss();
-        None
+        self.core.lookup(key, &mut self.stats.tx)
     }
 
-    /// Inserts a translation candidate (an L1-TLB or LDS victim). A
-    /// coalesced victim occupies one lane covering its whole span.
-    pub fn insert_tx(&mut self, tx: Translation) -> IcInsert {
-        let r = self.insert_tx_inner(tx);
-        if self.coalescing.is_some() && !matches!(r, IcInsert::Bypassed) {
-            self.stats.coalescing.inserts += 1;
-            self.stats.coalescing.span_pages += 1u64 << tx.span_log2;
-            if tx.span_log2 > 0 {
-                self.stats.coalescing.coalesced += 1;
-            }
-        }
-        r
-    }
-
-    fn insert_tx_inner(&mut self, tx: Translation) -> IcInsert {
-        self.tick += 1;
-        let tick = self.tick;
-        let idx = self.tx_line_index(tx.key);
-        let tag = self.tx_tag(tx.key);
-        let slots_per_line = self.tx_per_line.slots();
+    /// Inserts a translation candidate (an L1-TLB or LDS victim) into
+    /// its direct-mapped line: an invalid line switches to Tx mode, and
+    /// what the insert displaces is forwarded to the L2 TLB (Fig 12
+    /// flow ❶→❷→❸→❺→❻). An instruction line refuses the candidate,
+    /// which itself goes to the L2 TLB, unless the naive policy lets the
+    /// translation evict the instructions.
+    pub fn insert_tx(&mut self, tx: Translation) -> TxInsert {
+        let tick = self.core.tick();
+        let idx = self.core.index(tx.key);
         let naive = self.replacement == Replacement::NaiveLru;
-        let skey = self.store_key(tx.key);
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(tx.key.vmid);
-        let line = &mut self.lines[idx];
-        match &mut line.state {
+        let fresh = || LineState::Tx(Box::new(TxWays::new(TagGroup::icache())));
+        let line = &mut self.core.groups[idx];
+        match line.state {
+            LineState::Tx(_) => {}
+            LineState::Invalid => line.state = fresh(),
+            LineState::Inst { .. } if naive => {
+                // Fig 13a bar 2: translations may evict instructions.
+                self.stats.inst_evicted_by_tx += 1;
+                line.state = fresh();
+            }
             LineState::Inst { .. } => {
-                if naive {
-                    // Fig 13a bar 2: translations may evict instructions.
-                    self.stats.inst_evicted_by_tx += 1;
-                    line.state =
-                        LineState::Tx(TxSlab::first(tag, skey, tx.ppn, tick, bit, tx.span_log2));
-                    line.last_use = tick;
-                    self.stats.tx_inserts += 1;
-                    IcInsert::Inserted { evicted: None }
-                } else {
-                    self.stats.tx_bypassed += 1;
-                    IcInsert::Bypassed
-                }
-            }
-            LineState::Invalid => {
-                line.state =
-                    LineState::Tx(TxSlab::first(tag, skey, tx.ppn, tick, bit, tx.span_log2));
-                line.last_use = tick;
-                self.stats.tx_inserts += 1;
-                IcInsert::Inserted { evicted: None }
-            }
-            LineState::Tx(slab) => {
-                line.last_use = tick;
-                // Refresh on re-insert; under sub-entry sharing a
-                // PPN-matching insert merges the tenant into the lane's
-                // valid mask, a PPN conflict rebases the lane to the
-                // inserting tenant alone (arXiv 2404.18361 §4).
-                if let Some(i) = slab.find(slots_per_line, skey) {
-                    if sub && slab.ppns[i] == tx.ppn {
-                        slab.tmasks[i] |= bit;
-                    } else {
-                        if sub {
-                            slab.tmasks[i] = bit;
-                        }
-                        slab.ppns[i] = tx.ppn;
-                    }
-                    // The refresh's span wins (the newest walk knows
-                    // best whether the run widened or narrowed).
-                    slab.spans[i] = tx.span_log2;
-                    slab.last_use[i] = tick;
-                    self.stats.tx_inserts += 1;
-                    return IcInsert::Inserted { evicted: None };
-                }
-                let mut evicted = None;
-                if !slab.tags.fits(tag) {
-                    self.stats.compression_conflicts += 1;
-                    let mru = ones(slab.valid)
-                        .max_by_key(|&i| slab.last_use[i])
-                        .map(|i| slab.victim(i, sub));
-                    let dropped = slab.resident();
-                    slab.valid = 0;
-                    slab.tags.clear();
-                    self.stats.tx_evictions += dropped as u64;
-                    self.stats.conflict_drops += dropped.saturating_sub(1) as u64;
-                    evicted = mru;
-                } else if slab.resident() == slots_per_line {
-                    let i = ones(slab.valid)
-                        .min_by_key(|&i| slab.last_use[i])
-                        .expect("full line non-empty");
-                    evicted = Some(slab.victim(i, sub));
-                    slab.valid &= !(1 << i);
-                    slab.tags.retire();
-                    self.stats.tx_evictions += 1;
-                }
-                assert!(slab.tags.try_admit(tag), "tag checked to fit");
-                let free = (!slab.valid).trailing_zeros() as usize;
-                debug_assert!(free < slots_per_line, "slot available");
-                slab.set(free, skey, tx.ppn, tick, bit, tx.span_log2);
-                self.stats.tx_inserts += 1;
-                IcInsert::Inserted { evicted }
+                self.stats.tx.bypassed += 1;
+                return TxInsert::Bypassed;
             }
         }
+        line.last_use = tick;
+        TxInsert::Inserted { evicted: self.core.fill(idx, tx, tick, &mut self.stats.tx) }
     }
 
-    /// Shootdown: invalidates `key` if present.
-    ///
-    /// Under sub-entry sharing only the shooting tenant's valid-mask
-    /// bit is cleared; the lane survives for its co-sharers and is
-    /// freed only when the mask empties (arXiv 2404.18361 §4.3).
-    ///
-    /// Under coalescing every lane whose span covers `key` is dropped
-    /// *whole* — unlike the TLB's buddy split, a victim cache holds
-    /// clean copies, so conservatively losing the run's other pages is
-    /// always safe (they refill on the next walk).
+    /// Shootdown: invalidates `key` if present; returns whether it was
+    /// (sub-entry and coalescing rules in [`crate::tx_ways`]).
     pub fn shootdown(&mut self, key: TranslationKey) -> bool {
-        let Some(max) = self.coalescing else { return self.shootdown_exact(key) };
-        let slots = self.tx_per_line.slots();
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(key.vmid);
-        let mut any = false;
-        let mut prev = u64::MAX;
-        for k in 0..=max {
-            let bvpn = key.vpn.0 & !((1u64 << k) - 1); // k=0: the exact key
-            if bvpn == prev {
-                continue;
-            }
-            prev = bvpn;
-            let bkey = TranslationKey { vpn: Vpn(bvpn), ..key };
-            let idx = self.tx_line_index(bkey);
-            let skey = self.store_key(bkey);
-            let span;
-            {
-                let LineState::Tx(slab) = &mut self.lines[idx].state else { continue };
-                let Some(i) = slab.find(slots, skey) else { continue };
-                if key.vpn.0 - bvpn >= (1u64 << slab.spans[i]) {
-                    continue; // resident lane does not reach the shot page
-                }
-                span = slab.spans[i];
-                if sub {
-                    if slab.tmasks[i] & bit == 0 {
-                        continue;
-                    }
-                    slab.tmasks[i] &= !bit;
-                    if slab.tmasks[i] == 0 {
-                        slab.valid &= !(1 << i);
-                        slab.tags.retire();
-                    }
-                } else {
-                    slab.valid &= !(1 << i);
-                    slab.tags.retire();
-                }
-            }
-            self.stats.shootdowns += 1;
-            if span > 0 {
-                self.stats.coalescing.splits += 1;
-            }
-            any = true;
-        }
-        any
+        self.core.shootdown(key, &mut self.stats.tx)
     }
 
-    /// The classic (non-coalescing) shootdown path, byte-identical to
-    /// the pre-coalescing behavior.
-    fn shootdown_exact(&mut self, key: TranslationKey) -> bool {
-        let idx = self.tx_line_index(key);
-        let slots = self.tx_per_line.slots();
-        let skey = self.store_key(key);
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(key.vmid);
-        if let LineState::Tx(slab) = &mut self.lines[idx].state {
-            if let Some(i) = slab.find(slots, skey) {
-                if sub {
-                    if slab.tmasks[i] & bit == 0 {
-                        return false;
-                    }
-                    slab.tmasks[i] &= !bit;
-                    self.stats.shootdowns += 1;
-                    if slab.tmasks[i] == 0 {
-                        slab.valid &= !(1 << i);
-                        slab.tags.retire();
-                    }
-                    return true;
-                }
-                slab.valid &= !(1 << i);
-                slab.tags.retire();
-                self.stats.shootdowns += 1;
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Drops every translation visible to `vmid` (tenant teardown /
-    /// churn); returns the number of visibility losses. Under
-    /// sub-entry sharing this clears the tenant's bit across all
-    /// lanes, freeing only lanes whose mask empties.
+    /// Drops every translation visible to `vmid` (tenant teardown);
+    /// returns the number of visibility losses.
     pub fn invalidate_vmid(&mut self, vmid: VmId) -> usize {
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(vmid);
-        let mut lost = 0;
-        for line in &mut self.lines {
-            let LineState::Tx(slab) = &mut line.state else { continue };
-            for i in ones(slab.valid) {
-                if sub {
-                    if slab.tmasks[i] & bit != 0 {
-                        slab.tmasks[i] &= !bit;
-                        lost += 1;
-                        if slab.tmasks[i] == 0 {
-                            slab.valid &= !(1 << i);
-                            slab.tags.retire();
-                        }
-                    }
-                } else if slab.keys[i].vmid == vmid {
-                    slab.valid &= !(1 << i);
-                    slab.tags.retire();
-                    lost += 1;
-                }
-            }
-        }
-        lost
+        self.core.invalidate_vmid(vmid)
     }
 
     // ----- measurement ------------------------------------------------------
@@ -750,61 +350,23 @@ impl TxIcache {
     /// Ends a kernel and returns its Eq-1 I-cache utilization in
     /// percent: `fills * 100 / lines`, capped at 100.
     pub fn end_kernel_utilization(&self) -> f64 {
-        (self.fills_this_kernel as f64 * 100.0 / self.lines.len() as f64).min(100.0)
+        (self.fills_this_kernel as f64 * 100.0 / self.line_count() as f64).min(100.0)
     }
 
     /// Translations currently resident.
     pub fn resident_tx(&self) -> usize {
-        self.lines
-            .iter()
-            .map(|l| match &l.state {
-                LineState::Tx(slab) => slab.resident(),
-                _ => 0,
-            })
-            .sum()
+        self.core.resident()
     }
 
     /// Lines currently holding instructions.
     pub fn inst_lines(&self) -> usize {
-        self.lines
-            .iter()
-            .filter(|l| matches!(l.state, LineState::Inst { .. }))
-            .count()
+        self.core.groups.iter().filter(|l| matches!(l.state, LineState::Inst { .. })).count()
     }
 
-    /// Iterates over resident translations (sharing analysis).
-    ///
-    /// Under sub-entry sharing each lane expands to one translation
-    /// per set mask bit, retagged with that sharer's VM-ID, so
-    /// coherence checks can validate against every sharer's page
-    /// table.
+    /// Iterates over resident translations (sharing analysis), one per
+    /// covered page and sharing tenant.
     pub fn iter_tx(&self) -> impl Iterator<Item = Translation> + '_ {
-        let sub = self.sub_entry();
-        self.lines.iter().flat_map(move |l| {
-            let slab = match &l.state {
-                LineState::Tx(slab) => Some(slab),
-                _ => None,
-            };
-            slab.into_iter().flat_map(move |s| {
-                ones(s.valid).flat_map(move |i| {
-                    let (key, ppn, span) = (s.keys[i], s.ppns[i], s.spans[i]);
-                    let mask = if sub { s.tmasks[i] } else { 1 << key.vmid.raw() };
-                    (0..(1u64 << span)).flat_map(move |o| {
-                        (0..MAX_TENANTS as u8).filter(move |b| mask & (1u8 << b) != 0).map(
-                            move |b| {
-                                let vpn = Vpn(key.vpn.0 + o);
-                                let k = if sub {
-                                    TranslationKey { vpn, vmid: VmId::new(b), ..key }
-                                } else {
-                                    TranslationKey { vpn, ..key }
-                                };
-                                Translation::new(k, Ppn(ppn.0 + o))
-                            },
-                        )
-                    })
-                })
-            })
-        })
+        self.core.iter()
     }
 
     /// Accumulated statistics.
@@ -822,8 +384,11 @@ impl TxIcache {
 
 #[cfg(test)]
 mod tests {
+    //! Instruction-side and line-state behaviour; the Tx-mode behaviour
+    //! shared with the LDS is the suite in `tx_ways`, run once per
+    //! structure.
     use super::*;
-    use gtr_vm::addr::Vpn;
+    use gtr_vm::addr::{Ppn, Vpn};
 
     fn tx(v: u64) -> Translation {
         Translation::new(TranslationKey::for_vpn(Vpn(v)), Ppn(v + 1))
@@ -837,7 +402,6 @@ mod tests {
     fn geometry_matches_paper() {
         let c = ic(Replacement::InstructionAware, TxPerLine::Eight);
         assert_eq!(c.line_count(), 256);
-        assert_eq!(c.sets(), 32);
         // 256 lines × 8 tx = 2048 per instance; 2 instances = 4K
         // (Fig 15: "4K from I-caches").
         assert_eq!(c.line_count() * c.tx_slots(), 2048);
@@ -881,8 +445,8 @@ mod tests {
             }
         }
         assert_eq!(c.inst_lines(), 256);
-        assert_eq!(c.insert_tx(tx(5)), IcInsert::Bypassed);
-        assert_eq!(c.stats().tx_bypassed, 1);
+        assert_eq!(c.insert_tx(tx(5)), TxInsert::Bypassed);
+        assert_eq!(c.stats().tx.bypassed, 1);
         assert_eq!(c.inst_lines(), 256);
     }
 
@@ -893,23 +457,8 @@ mod tests {
         // Find a vpn direct-mapped onto that very line: line index of the
         // filled line is set 5, way 0 => global line idx 40.
         let vpn = 40u64;
-        assert!(matches!(c.insert_tx(tx(vpn)), IcInsert::Inserted { .. }));
+        assert!(matches!(c.insert_tx(tx(vpn)), TxInsert::Inserted { .. }));
         assert_eq!(c.stats().inst_evicted_by_tx, 1);
-    }
-
-    #[test]
-    fn eight_translations_pack_per_line() {
-        let mut c = ic(Replacement::InstructionAware, TxPerLine::Eight);
-        let n = c.line_count() as u64;
-        for i in 0..8u64 {
-            assert!(matches!(c.insert_tx(tx(3 + i * n)), IcInsert::Inserted { evicted: None }));
-        }
-        assert_eq!(c.resident_tx(), 8);
-        // Ninth insert to the same line evicts the LRU.
-        match c.insert_tx(tx(3 + 8 * n)) {
-            IcInsert::Inserted { evicted: Some(e) } => assert_eq!(e.key.vpn, Vpn(3)),
-            other => panic!("expected LRU eviction: {other:?}"),
-        }
     }
 
     #[test]
@@ -918,21 +467,10 @@ mod tests {
         let n = c.line_count() as u64;
         c.insert_tx(tx(3));
         match c.insert_tx(tx(3 + n)) {
-            IcInsert::Inserted { evicted: Some(e) } => assert_eq!(e.key.vpn, Vpn(3)),
+            TxInsert::Inserted { evicted: Some(e) } => assert_eq!(e.key.vpn, Vpn(3)),
             other => panic!("expected displacement: {other:?}"),
         }
         assert_eq!(c.resident_tx(), 1);
-    }
-
-    #[test]
-    fn lookup_copies_out_and_stays() {
-        let mut c = ic(Replacement::InstructionAware, TxPerLine::Eight);
-        let t = tx(9);
-        c.insert_tx(t);
-        assert_eq!(c.lookup_tx(t.key), Some(t));
-        assert_eq!(c.lookup_tx(t.key), Some(t), "entry remains for other CUs");
-        assert_eq!(c.resident_tx(), 1);
-        assert_eq!(c.stats().tx_lookups.hits, 2);
     }
 
     #[test]
@@ -946,7 +484,7 @@ mod tests {
         assert_eq!(c.resident_tx(), 1);
         assert_eq!(c.stats().flushed_lines, 2);
         // Flushed lines are reclaimable by translations.
-        assert!(matches!(c.insert_tx(tx(0)), IcInsert::Inserted { .. }));
+        assert!(matches!(c.insert_tx(tx(0)), TxInsert::Inserted { .. }));
     }
 
     #[test]
@@ -962,272 +500,5 @@ mod tests {
             c.fetch(i + 1000);
         }
         assert_eq!(c.end_kernel_utilization(), 100.0, "capped at 100%");
-    }
-
-    #[test]
-    fn compression_conflict_rebases() {
-        let mut c = ic(Replacement::InstructionAware, TxPerLine::Eight);
-        let n = c.line_count() as u64;
-        c.insert_tx(tx(3));
-        c.insert_tx(tx(3 + n));
-        // Tag 1 << 20 is far outside the 8-bit delta window.
-        match c.insert_tx(tx(3 + (1 << 20) * n)) {
-            IcInsert::Inserted { evicted: Some(_) } => {}
-            other => panic!("conflict should evict: {other:?}"),
-        }
-        assert_eq!(c.stats().compression_conflicts, 1);
-        assert_eq!(c.resident_tx(), 1);
-    }
-
-    #[test]
-    fn shootdown_finds_direct_mapped_entry() {
-        let mut c = ic(Replacement::InstructionAware, TxPerLine::Eight);
-        let t = tx(123);
-        c.insert_tx(t);
-        assert!(c.shootdown(t.key));
-        assert!(!c.shootdown(t.key));
-        assert_eq!(c.resident_tx(), 0);
-    }
-
-    mod tenancy {
-        use super::*;
-        use gtr_vm::addr::VmId;
-        use gtr_vm::tenancy::{SharingPolicy, TenancyConfig};
-
-        fn keyed(v: u64, vm: u8) -> Translation {
-            let key = TranslationKey {
-                vpn: Vpn(v),
-                vmid: VmId::new(vm),
-                vrf: gtr_vm::addr::VrfId::new(0),
-            };
-            Translation::new(key, Ppn(v + 1))
-        }
-
-        fn tenanted(policy: SharingPolicy, tenants: u8) -> TxIcache {
-            let mut c = ic(Replacement::InstructionAware, TxPerLine::Eight);
-            c.set_tenancy(TenancyConfig::new(tenants, policy));
-            c
-        }
-
-        #[test]
-        fn partitioned_stripes_tx_lines_by_tenant() {
-            let mut c = tenanted(SharingPolicy::Partitioned, 2);
-            // Same VPN, two tenants: distinct direct-mapped lines.
-            c.insert_tx(keyed(7, 0));
-            c.insert_tx(keyed(7, 1));
-            assert_eq!(c.resident_tx(), 2);
-            assert!(c.is_tx_line(keyed(7, 0).key), "mode gate follows the remap");
-            assert_eq!(c.lookup_tx(keyed(7, 0).key), Some(keyed(7, 0)));
-            assert_eq!(c.lookup_tx(keyed(7, 1).key), Some(keyed(7, 1)));
-            // Overflowing tenant 0's line must only evict tenant 0.
-            let per = c.line_count() as u64 / 2;
-            for i in 1..=16u64 {
-                if let IcInsert::Inserted { evicted: Some(e) } = c.insert_tx(keyed(7 + i * per, 0))
-                {
-                    assert_eq!(e.key.vmid.raw(), 0, "no cross-tenant eviction");
-                }
-            }
-            assert!(c.lookup_tx(keyed(7, 1).key).is_some(), "tenant 1 untouched");
-        }
-
-        #[test]
-        fn shared_policy_checks_vmid_on_hit() {
-            let mut c = tenanted(SharingPolicy::Shared, 2);
-            c.insert_tx(keyed(3, 0));
-            assert!(c.lookup_tx(keyed(3, 0).key).is_some());
-            assert!(c.lookup_tx(keyed(3, 1).key).is_none(), "foreign vmid must miss");
-        }
-
-        #[test]
-        fn sub_entry_merges_and_shoots_per_tenant() {
-            let mut c = tenanted(SharingPolicy::SubEntry, 3);
-            let k = |vm| keyed(5, vm).key;
-            c.insert_tx(Translation::new(k(0), Ppn(42)));
-            c.insert_tx(Translation::new(k(1), Ppn(42)));
-            c.insert_tx(Translation::new(k(2), Ppn(42)));
-            assert_eq!(c.resident_tx(), 1, "three tenants share one lane");
-            assert_eq!(c.iter_tx().count(), 3, "iter expands per sharer");
-            assert!(c.shootdown(k(1)));
-            assert!(c.lookup_tx(k(1)).is_none());
-            assert!(c.lookup_tx(k(0)).is_some(), "co-sharers survive");
-            assert!(c.lookup_tx(k(2)).is_some());
-            // PPN conflict rebases to the inserting tenant alone.
-            c.insert_tx(Translation::new(k(1), Ppn(99)));
-            assert!(c.lookup_tx(k(0)).is_none(), "stale sharers evicted");
-            assert_eq!(c.lookup_tx(k(1)), Some(Translation::new(k(1), Ppn(99))));
-        }
-
-        #[test]
-        fn sub_entry_victim_carries_representative_vmid() {
-            let mut c = tenanted(SharingPolicy::SubEntry, 2);
-            let n = c.line_count() as u64;
-            let at = |i: u64, vm: u8| keyed(5 + i * n, vm);
-            c.insert_tx(Translation::new(at(0, 0).key, Ppn(42)));
-            c.insert_tx(Translation::new(at(0, 1).key, Ppn(42)));
-            for i in 1..8u64 {
-                c.insert_tx(at(i, 1));
-            }
-            // Line full; next insert evicts the LRU shared lane on
-            // behalf of its lowest sharer, tenant 0.
-            match c.insert_tx(at(8, 1)) {
-                IcInsert::Inserted { evicted: Some(e) } => {
-                    assert_eq!(e.key.vpn, Vpn(5));
-                    assert_eq!(e.key.vmid.raw(), 0, "lowest-numbered sharer");
-                }
-                other => panic!("expected eviction: {other:?}"),
-            }
-        }
-
-        #[test]
-        fn invalidate_vmid_counts_visibility_losses() {
-            let mut c = tenanted(SharingPolicy::SubEntry, 2);
-            c.insert_tx(Translation::new(keyed(5, 0).key, Ppn(42)));
-            c.insert_tx(Translation::new(keyed(5, 1).key, Ppn(42)));
-            c.insert_tx(keyed(9, 0));
-            assert_eq!(c.invalidate_vmid(VmId::new(0)), 2);
-            assert_eq!(c.resident_tx(), 1, "shared lane survives for tenant 1");
-            assert!(c.lookup_tx(keyed(5, 1).key).is_some());
-        }
-
-        #[test]
-        fn single_tenant_shared_matches_untenanted() {
-            let mut plain = ic(Replacement::InstructionAware, TxPerLine::Eight);
-            let mut shared = tenanted(SharingPolicy::Shared, 1);
-            for i in 0..2048u64 {
-                assert_eq!(plain.insert_tx(tx(i * 3)), shared.insert_tx(tx(i * 3)));
-                assert_eq!(plain.lookup_tx(tx(i).key), shared.lookup_tx(tx(i).key));
-            }
-            assert_eq!(plain.resident_tx(), shared.resident_tx());
-            assert_eq!(plain.stats().tx_evictions, shared.stats().tx_evictions);
-        }
-
-        #[test]
-        #[should_panic(expected = "before first insert")]
-        fn set_tenancy_rejects_warm_structure() {
-            let mut c = ic(Replacement::InstructionAware, TxPerLine::Eight);
-            c.insert_tx(tx(1));
-            c.set_tenancy(TenancyConfig::new(2, SharingPolicy::Shared));
-        }
-    }
-
-    mod coalescing {
-        use super::*;
-
-        fn co_ic(max: u8) -> TxIcache {
-            let mut c = ic(Replacement::InstructionAware, TxPerLine::Eight);
-            c.set_coalescing(Some(max));
-            c
-        }
-
-        /// One span-3 run: vpns 40..48 -> ppns 500..508.
-        fn span3() -> Translation {
-            Translation::with_span(TranslationKey::for_vpn(Vpn(40)), Ppn(500), 3)
-        }
-
-        fn key(v: u64) -> TranslationKey {
-            TranslationKey::for_vpn(Vpn(v))
-        }
-
-        #[test]
-        fn covered_pages_hit_through_base_line() {
-            let mut c = co_ic(4);
-            c.insert_tx(span3());
-            assert_eq!(c.resident_tx(), 1, "one lane holds the whole run");
-            for v in 40..48u64 {
-                assert!(c.may_hold_tx(key(v)), "routing gate must see the run at vpn {v}");
-                let hit = c.lookup_tx(key(v)).expect("covered page must hit");
-                assert_eq!(hit.key.vpn, Vpn(40));
-                assert_eq!(hit.ppn_for(Vpn(v)), Ppn(500 + (v - 40)));
-            }
-            assert!(c.lookup_tx(key(48)).is_none());
-            assert_eq!(c.stats().tx_lookups.hits, 8);
-            assert_eq!(c.stats().coalescing.hits, 7, "exact-base hit is not a covering hit");
-        }
-
-        #[test]
-        fn insert_counters_measure_reach() {
-            let mut c = co_ic(4);
-            c.insert_tx(span3());
-            c.insert_tx(tx(100));
-            let co = c.stats().coalescing;
-            assert_eq!(co.inserts, 2);
-            assert_eq!(co.coalesced, 1);
-            assert_eq!(co.span_pages, 9);
-        }
-
-        #[test]
-        fn bypassed_inserts_do_not_count_reach() {
-            let mut c = co_ic(4);
-            // Fill every line with instructions so inserts bypass.
-            for set in 0..32u64 {
-                for way in 0..8u64 {
-                    c.fetch(set + way * 32);
-                }
-            }
-            assert_eq!(c.insert_tx(span3()), IcInsert::Bypassed);
-            assert_eq!(c.stats().coalescing, CoalescingCounters::default());
-        }
-
-        #[test]
-        fn shootdown_drops_the_whole_covering_lane() {
-            let mut c = co_ic(4);
-            c.insert_tx(span3());
-            assert!(c.shootdown(key(42)));
-            for v in 40..48u64 {
-                assert!(c.lookup_tx(key(v)).is_none(), "victim caches drop the run whole ({v})");
-            }
-            assert_eq!(c.resident_tx(), 0);
-            assert_eq!(c.stats().coalescing.splits, 1);
-            assert!(!c.shootdown(key(42)));
-        }
-
-        #[test]
-        fn iter_expands_covered_pages() {
-            let mut c = co_ic(4);
-            c.insert_tx(span3());
-            let pages: Vec<(u64, u64)> = c.iter_tx().map(|e| (e.key.vpn.0, e.ppn.0)).collect();
-            assert_eq!(pages.len(), 8);
-            for (vpn, ppn) in pages {
-                assert_eq!(ppn - 500, vpn - 40);
-            }
-        }
-
-        #[test]
-        fn victims_keep_their_span() {
-            let mut c = co_ic(4);
-            let n = c.line_count() as u64;
-            // Nine runs direct-mapped onto the same line overflow its
-            // eight lanes; the LRU run is forwarded whole.
-            let run = |i: u64| {
-                Translation::with_span(TranslationKey::for_vpn(Vpn(40 + i * 8 * n)), Ppn(500), 3)
-            };
-            for i in 0..8 {
-                assert!(matches!(c.insert_tx(run(i)), IcInsert::Inserted { evicted: None }));
-            }
-            match c.insert_tx(run(8)) {
-                IcInsert::Inserted { evicted: Some(e) } => {
-                    assert_eq!(e.key, run(0).key);
-                    assert_eq!(e.span_log2, 3, "Fig-12 victims carry the whole run");
-                }
-                other => panic!("expected eviction: {other:?}"),
-            }
-        }
-
-        #[test]
-        fn may_hold_matches_old_gate_when_off() {
-            let mut c = ic(Replacement::InstructionAware, TxPerLine::Eight);
-            c.insert_tx(tx(7));
-            for v in 0..64u64 {
-                assert_eq!(c.may_hold_tx(key(v)), c.is_tx_line(key(v)), "vpn {v}");
-            }
-        }
-
-        #[test]
-        #[should_panic(expected = "before first insert")]
-        fn set_coalescing_rejects_warm_structure() {
-            let mut c = ic(Replacement::InstructionAware, TxPerLine::Eight);
-            c.insert_tx(tx(1));
-            c.set_coalescing(Some(4));
-        }
     }
 }

@@ -4,32 +4,24 @@
 //! The LDS is divided into 32-byte segments (64-byte in the §6.3.1
 //! ablation). Each segment carries a mode bit: **App** segments belong
 //! to a live workgroup allocation and are untouchable; **Tx** segments
-//! co-locate one compressed tag word with 3 (or 6) eight-byte
-//! translations; **Idle** segments belong to nobody. Mode transitions
-//! follow §4.2.4: an application allocation may overwrite Tx segments
-//! at any time (no data movement — translations are clean), but a
-//! translation insert can never claim an App segment.
+//! co-locate one compressed tag word (16-bit deltas, Fig 7b) with 3 (or
+//! 6) eight-byte translations; **Idle** segments belong to nobody. Mode
+//! transitions follow §4.2.4: an application allocation may overwrite
+//! Tx segments at any time (no data movement — translations are clean),
+//! but a translation insert can never claim an App segment.
 //!
-//! # Multi-tenancy
-//!
-//! With a [`TenancyConfig`] installed ([`TxLds::set_tenancy`]) the
-//! structure honors the three sharing policies of `gtr_vm::tenancy`
-//! (TENANCY.md §3): *partitioned* stripes the segments across tenants
-//! (tenant *i* owns every segment ≡ *i* mod `tenants`, so no tenant
-//! can evict another's translations); *shared* is the untenanted
-//! full-key tag check; *sub-entry* (arXiv 2404.18361 §4) tags ways
-//! with a canonical VM-ID-zeroed key plus a per-tenant valid mask, so
-//! PPN-matching tenants collapse onto one way each owning one mask
-//! bit. Sub-entry victims are forwarded on behalf of their
-//! lowest-numbered sharer (see `gtr_vm::tenancy::representative`).
+//! Everything inside a Tx segment — the way group, lookup, fill,
+//! shootdown, tenancy and coalescing — is the victim-store core of
+//! [`crate::tx_ways`], shared with the reconfigurable I-cache. This
+//! module adds the segment modes, the app allocation override, and the
+//! home-hashing index shift.
 
-use gtr_sim::stats::HitMiss;
-use gtr_vm::addr::{Ppn, Translation, TranslationKey, VmId, Vpn};
-use gtr_vm::tenancy::{self, TenancyConfig, MAX_TENANTS};
-use gtr_vm::tlb::CoalescingCounters;
+use gtr_vm::addr::{Translation, TranslationKey, VmId};
+use gtr_vm::tenancy::TenancyConfig;
 
-use crate::compress::{match_mask, TagGroup};
+use crate::compress::TagGroup;
 use crate::config::SegmentSize;
+use crate::tx_ways::{TxCore, TxCounters, TxGroup, TxInsert, TxWays};
 
 /// Operating mode of one LDS segment (the mode bit of §4.2.4, with
 /// "Idle" distinguishing never/no-longer-allocated capacity).
@@ -49,144 +41,33 @@ pub enum SegmentMode {
 /// whole tag vector in two cache lines with no per-segment heap.
 const MAX_WAYS: usize = 6;
 
-/// One LDS segment, struct-of-arrays: the lookup compares the decoded
-/// VPN lane vector with one branchless [`match_mask`] pass (the
-/// parallel base+delta comparators of Fig 7b) and only touches the
-/// remaining lanes for the matching way.
+/// One LDS segment: its mode bit and its way group (empty unless Tx).
 #[derive(Debug, Clone)]
 struct Segment {
     mode: SegmentMode,
-    tags: TagGroup,
-    /// Decoded full VPNs per way — the compare lane. Full VPNs, not
-    /// compressed deltas: shootdown probes arrive at every CU's LDS
-    /// under home hashing, where a delta-only compare against a foreign
-    /// base would false-hit (see [`match_mask`]).
-    vpns: [u64; MAX_WAYS],
-    /// Full keys per way, consulted only on a VPN lane match to settle
-    /// the VM-ID/VRF-ID identity (§7.2 SR-IOV spaces).
-    keys: [TranslationKey; MAX_WAYS],
-    ppns: [Ppn; MAX_WAYS],
-    last_use: [u64; MAX_WAYS],
-    /// Per-tenant valid masks per way, meaningful only under sub-entry
-    /// sharing (arXiv 2404.18361 §4): bit *t* set means tenant *t*
-    /// shares the way's canonical-key translation.
-    tmasks: [u8; MAX_WAYS],
-    /// Coalesced reach per way: the way covers `2^span` contiguous
-    /// pages from its (span-aligned) base VPN. Always 0 with
-    /// coalescing off.
-    spans: [u8; MAX_WAYS],
-    /// Occupancy bitmask over the first `ways()` lanes.
-    valid: u32,
+    ways: TxWays<MAX_WAYS>,
 }
 
-impl Segment {
-    fn new() -> Self {
-        Self {
-            mode: SegmentMode::Idle,
-            tags: TagGroup::lds(),
-            vpns: [0; MAX_WAYS],
-            keys: [TranslationKey::for_vpn(gtr_vm::addr::Vpn(0)); MAX_WAYS],
-            ppns: [Ppn(0); MAX_WAYS],
-            last_use: [0; MAX_WAYS],
-            tmasks: [0; MAX_WAYS],
-            spans: [0; MAX_WAYS],
-            valid: 0,
-        }
+impl TxGroup<MAX_WAYS> for Segment {
+    fn tx(&self) -> Option<&TxWays<MAX_WAYS>> {
+        (self.mode == SegmentMode::Tx).then_some(&self.ways)
     }
 
-    /// Index of the way holding `key`, in slot order (the order the
-    /// old early-exit scan returned), or `None`.
-    fn find(&self, ways: usize, key: TranslationKey) -> Option<usize> {
-        let mut m = match_mask(&self.vpns[..ways], self.valid, key.vpn.0);
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            if self.keys[i] == key {
-                return Some(i);
-            }
-            m &= m - 1;
-        }
-        None
+    fn tx_mut(&mut self) -> Option<&mut TxWays<MAX_WAYS>> {
+        (self.mode == SegmentMode::Tx).then_some(&mut self.ways)
     }
-
-    fn set(&mut self, i: usize, key: TranslationKey, ppn: Ppn, tick: u64, tmask: u8, span: u8) {
-        self.vpns[i] = key.vpn.0;
-        self.keys[i] = key;
-        self.ppns[i] = ppn;
-        self.last_use[i] = tick;
-        self.tmasks[i] = tmask;
-        self.spans[i] = span;
-        self.valid |= 1 << i;
-    }
-
-    /// The translation forwarded when way `i` is displaced: the full
-    /// key, or under sub-entry sharing the canonical key retagged with
-    /// its lowest-numbered sharer ([`tenancy::representative`]). A
-    /// coalesced way forwards its whole span — the Fig-12 fill flow
-    /// moves the covered run downstream in one entry.
-    fn victim(&self, i: usize, sub: bool) -> Translation {
-        let key =
-            if sub { tenancy::representative(self.keys[i], self.tmasks[i]) } else { self.keys[i] };
-        Translation::with_span(key, self.ppns[i], self.spans[i])
-    }
-
-    fn resident(&self) -> usize {
-        self.valid.count_ones() as usize
-    }
-
-    fn drop_all_tx(&mut self) -> usize {
-        let n = self.resident();
-        self.valid = 0;
-        self.tags.clear();
-        n
-    }
-}
-
-/// Iterates the set-bit positions of an occupancy mask in ascending
-/// (slot) order, matching the scan order of the pre-SoA slot vector.
-fn ones(mask: u32) -> impl Iterator<Item = usize> {
-    (0..u32::BITS as usize).filter(move |i| mask & (1 << i) != 0)
-}
-
-/// Outcome of a translation insert attempt.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LdsInsert {
-    /// Stored; `evicted` holds a displaced translation that must
-    /// continue down the fill flow (Fig 12 flow ❶→❷→❹→❻).
-    Inserted {
-        /// Victim displaced by this insert, if any.
-        evicted: Option<Translation>,
-    },
-    /// The segment is in App mode — the candidate bypasses the LDS
-    /// (Fig 12 flow ❶→❷→❸→❺).
-    Bypassed,
 }
 
 /// Statistics of one CU's reconfigurable LDS.
 #[derive(Debug, Clone, Default)]
 pub struct TxLdsStats {
-    /// Lookup hits/misses (misses include App-mode segments).
-    pub lookups: HitMiss,
-    /// Successful inserts.
-    pub inserts: u64,
-    /// Inserts bypassed because the segment was App-mode.
-    pub bypassed: u64,
-    /// Translations evicted by newer translations.
-    pub evictions: u64,
+    /// The Tx-mode counters shared with the I-cache (lookup misses
+    /// include App-mode segments; `bypassed` counts inserts refused by
+    /// an App-mode segment).
+    pub tx: TxCounters,
     /// Translations dropped when an app allocation overwrote their
     /// segment.
     pub overwritten_by_app: u64,
-    /// Base-delta compression conflicts on insert.
-    pub compression_conflicts: u64,
-    /// Translations silently dropped during conflict re-basing (only
-    /// one victim can be forwarded per insert).
-    pub conflict_drops: u64,
-    /// Shootdown invalidations that found an entry.
-    pub shootdowns: u64,
-    /// Coalesced-entry counters (all zero with coalescing off). Here
-    /// `splits` counts covering ways conservatively *dropped* whole by
-    /// a single-page shootdown — a victim cache holds clean copies, so
-    /// dropping the run is always safe and needs no buddy bookkeeping.
-    pub coalescing: CoalescingCounters,
 }
 
 /// One CU's reconfigurable LDS.
@@ -194,35 +75,21 @@ pub struct TxLdsStats {
 /// # Example
 ///
 /// ```
-/// use gtr_core::lds_tx::{LdsInsert, TxLds};
+/// use gtr_core::lds_tx::TxLds;
+/// use gtr_core::tx_ways::TxInsert;
 /// use gtr_core::config::SegmentSize;
 /// use gtr_vm::addr::{Ppn, Translation, TranslationKey, Vpn};
 ///
 /// let mut lds = TxLds::new(16 * 1024, SegmentSize::Bytes32);
 /// let tx = Translation::new(TranslationKey::for_vpn(Vpn(7)), Ppn(70));
-/// assert!(matches!(lds.insert(tx), LdsInsert::Inserted { evicted: None }));
+/// assert!(matches!(lds.insert(tx), TxInsert::Inserted { evicted: None }));
 /// assert_eq!(lds.lookup(tx.key), Some(tx)); // copy promoted to the L1 TLB
 /// assert_eq!(lds.lookup(tx.key), Some(tx)); // entry stays resident
 /// ```
 #[derive(Debug, Clone)]
 pub struct TxLds {
-    segments: Vec<Segment>,
+    core: TxCore<Segment, MAX_WAYS>,
     segment_bytes: u32,
-    ways: usize,
-    /// VPN bits consumed by home-node selection before segment
-    /// indexing (0 unless home hashing distributes VPNs across CUs; see
-    /// `ReachConfig::lds_home_hashing`). Without the shift, a home LDS
-    /// would only ever see VPNs congruent to its CU id and leave 7/8 of
-    /// its segments idle.
-    index_shift: u32,
-    /// Capacity-sharing policy between concurrent tenants; `None`
-    /// (the default) is bit-identical to the untenanted structure.
-    tenancy: Option<TenancyConfig>,
-    /// Coalesced (variable-reach) ways: `Some(max)` lets one way map up
-    /// to `2^max` contiguous pages; `None` is the classic
-    /// one-page-per-way default.
-    coalescing: Option<u8>,
-    tick: u64,
     stats: TxLdsStats,
 }
 
@@ -235,269 +102,97 @@ impl TxLds {
     pub fn new(lds_bytes: u32, segment_size: SegmentSize) -> Self {
         let seg = segment_size.bytes();
         assert!(lds_bytes.is_multiple_of(seg), "LDS must divide into segments");
-        let count = (lds_bytes / seg) as usize;
-        assert!(segment_size.ways() <= MAX_WAYS, "segment ways exceed SoA lanes");
+        let segments = (0..lds_bytes / seg)
+            .map(|_| Segment { mode: SegmentMode::Idle, ways: TxWays::new(TagGroup::lds()) })
+            .collect();
         Self {
-            segments: (0..count).map(|_| Segment::new()).collect(),
+            core: TxCore::new(segments, segment_size.ways()),
             segment_bytes: seg,
-            ways: segment_size.ways(),
-            index_shift: 0,
-            tenancy: None,
-            coalescing: None,
-            tick: 0,
             stats: TxLdsStats::default(),
         }
     }
 
-    /// Enables coalesced (variable-reach) ways: one way may hold a
-    /// run of up to `2^max_span_log2` contiguous pages (arXiv
-    /// 2110.08613), mirroring [`gtr_vm::tlb::Tlb::set_coalescing`].
-    /// Must be called while no translations are resident.
+    /// Enables coalesced ways of up to `2^max_span_log2` pages (see
+    /// [`crate::tx_ways`]).
     ///
     /// # Panics
     ///
     /// Panics if any translation is already resident.
     pub fn set_coalescing(&mut self, max_span_log2: Option<u8>) {
-        assert!(self.resident() == 0, "coalescing must be set before first insert");
-        self.coalescing = max_span_log2;
+        self.core.set_coalescing(max_span_log2);
     }
 
-    /// Installs a tenancy policy (TENANCY.md §3). Must be called while
-    /// the structure holds no translations, so every resident entry
-    /// was inserted under one consistent tagging scheme.
+    /// Installs a tenancy policy (TENANCY.md §3; see [`crate::tx_ways`]).
     ///
     /// # Panics
     ///
     /// Panics if any translation is already resident.
     pub fn set_tenancy(&mut self, tenancy: TenancyConfig) {
-        assert!(self.resident() == 0, "tenancy policy must be set before first insert");
-        self.tenancy = Some(tenancy);
-    }
-
-    fn sub_entry(&self) -> bool {
-        self.tenancy.is_some_and(|t| t.sub_entry())
-    }
-
-    /// The key stored in the tag lanes: canonical (VM-ID-zeroed) under
-    /// sub-entry sharing, the full key otherwise.
-    fn store_key(&self, key: TranslationKey) -> TranslationKey {
-        if self.sub_entry() { tenancy::canonical(key) } else { key }
+        self.core.set_tenancy(tenancy);
     }
 
     /// Sets the number of low VPN bits to skip before segment indexing
-    /// (used with home-node hashing so a home LDS spreads its share of
-    /// the VPN space across all of its segments).
+    /// and tagging (0 unless home hashing distributes VPNs across CUs;
+    /// see `ReachConfig::lds_home_hashing`). Without the shift, a home
+    /// LDS would only ever see VPNs congruent to its CU id and leave
+    /// 7/8 of its segments idle.
     pub fn with_index_shift(mut self, shift: u32) -> Self {
-        self.index_shift = shift;
+        self.core.index_shift = shift;
         self
     }
 
     /// Number of segments.
     pub fn segment_count(&self) -> usize {
-        self.segments.len()
+        self.core.groups.len()
     }
 
     /// Translation ways per segment.
     pub fn ways(&self) -> usize {
-        self.ways
-    }
-
-    fn index(&self, key: TranslationKey) -> usize {
-        let vpn = (key.vpn.0 >> self.index_shift) as usize;
-        match self.tenancy {
-            // Partitioned: tenant `t` owns the segment stripe ≡ `t`
-            // (mod tenants); any remainder segments when the count does
-            // not divide go unused (they are nobody's quota).
-            Some(t) if t.partitioned() => {
-                let tenants = t.tenants as usize;
-                let per = (self.segments.len() / tenants).max(1);
-                ((vpn % per) * tenants + key.vmid.raw() as usize) % self.segments.len()
-            }
-            _ => vpn % self.segments.len(),
-        }
-    }
-
-    fn tag(&self, key: TranslationKey) -> u64 {
-        (key.vpn.0 >> self.index_shift) / self.segments.len() as u64
+        self.core.ways
     }
 
     /// Mode of the segment a key maps to (drives the Fig 12 routing).
     pub fn segment_mode(&self, key: TranslationKey) -> SegmentMode {
-        self.segments[self.index(key)].mode
+        self.core.groups[self.core.index(key)].mode
     }
 
-    /// Whether a lookup for `key` could possibly hit: the key's own
-    /// segment is Tx, or — under coalescing — any span-base segment is
-    /// (a wide entry lives in its *base* VPN's segment, which can
-    /// differ from the probed page's). This is the Fig-12 routing gate
-    /// the system charges LDS lookup latency against; with coalescing
-    /// off it is exactly the classic `segment_mode(key) == Tx` test.
+    /// Whether a lookup for `key` could possibly hit: the Fig-12
+    /// routing gate the system charges LDS lookup latency against. With
+    /// coalescing off it is `segment_mode(key) == Tx`; under coalescing
+    /// any span-base segment in Tx mode counts.
     pub fn may_hold(&self, key: TranslationKey) -> bool {
-        if self.segments[self.index(key)].mode == SegmentMode::Tx {
-            return true;
-        }
-        let Some(max) = self.coalescing else { return false };
-        let mut prev = key.vpn.0;
-        for k in 1..=max {
-            let bvpn = key.vpn.0 & !((1u64 << k) - 1);
-            if bvpn == prev {
-                continue;
-            }
-            prev = bvpn;
-            let bkey = TranslationKey { vpn: Vpn(bvpn), ..key };
-            if self.segments[self.index(bkey)].mode == SegmentMode::Tx {
-                return true;
-            }
-        }
-        false
+        self.core.may_hold(key)
     }
 
     /// Looks up a translation. A hit refreshes the entry's LRU
     /// position and returns a copy for promotion into the L1 TLB; the
     /// entry itself stays resident (translations are clean, so
-    /// duplication between the LDS and a TLB is harmless — the same
-    /// duplication the per-CU L1 TLBs already exhibit, Fig 14a).
-    ///
-    /// Under coalescing a miss on the exact key falls back to probing
-    /// the masked base of every span level and hits iff a resident
-    /// way's span covers `key`; the hit returns the base-normalized
-    /// run entry (callers derive the page's frame via
-    /// [`Translation::ppn_for`]).
+    /// duplication between the LDS and a TLB is harmless, Fig 14a).
+    /// A covering hit returns the whole run (see [`Translation::ppn_for`]).
     pub fn lookup(&mut self, key: TranslationKey) -> Option<Translation> {
-        self.tick += 1;
-        let tick = self.tick;
-        let ways = self.ways;
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(key.vmid);
-        let max = self.coalescing.unwrap_or(0);
-        let mut prev = u64::MAX;
-        for k in 0..=max {
-            let bvpn = key.vpn.0 & !((1u64 << k) - 1); // k=0: the exact key
-            if bvpn == prev {
-                continue;
-            }
-            prev = bvpn;
-            let bkey = TranslationKey { vpn: Vpn(bvpn), ..key };
-            let idx = self.index(bkey);
-            let skey = self.store_key(bkey);
-            let seg = &mut self.segments[idx];
-            if seg.mode != SegmentMode::Tx {
-                continue;
-            }
-            // A sub-entry hit needs the requester's valid-mask bit on
-            // top of the canonical tag match; a bare tag match without
-            // the bit misses (and does not refresh LRU — the requester
-            // holds no stake in the entry yet). A covering match must
-            // additionally reach the probed page.
-            if let Some(i) = seg.find(ways, skey) {
-                if (sub && seg.tmasks[i] & bit == 0) || key.vpn.0 - bvpn >= (1u64 << seg.spans[i])
-                {
-                    continue;
-                }
-                seg.last_use[i] = tick;
-                let hit_key =
-                    if sub { TranslationKey { vpn: Vpn(bvpn), ..key } } else { seg.keys[i] };
-                let hit = Translation::with_span(hit_key, seg.ppns[i], seg.spans[i]);
-                self.stats.lookups.hit();
-                if k > 0 {
-                    self.stats.coalescing.hits += 1;
-                }
-                return Some(hit);
-            }
-        }
-        self.stats.lookups.miss();
-        None
+        self.core.lookup(key, &mut self.stats.tx)
     }
 
-    /// Inserts an L1-TLB victim (Fig 12 flows ❶→❷→…). A coalesced
-    /// victim occupies one way covering its whole span.
-    pub fn insert(&mut self, tx: Translation) -> LdsInsert {
-        let r = self.insert_inner(tx);
-        if self.coalescing.is_some() && !matches!(r, LdsInsert::Bypassed) {
-            self.stats.coalescing.inserts += 1;
-            self.stats.coalescing.span_pages += 1u64 << tx.span_log2;
-            if tx.span_log2 > 0 {
-                self.stats.coalescing.coalesced += 1;
-            }
-        }
-        r
-    }
-
-    fn insert_inner(&mut self, tx: Translation) -> LdsInsert {
-        self.tick += 1;
-        let tick = self.tick;
-        let idx = self.index(tx.key);
-        let tag = self.tag(tx.key);
-        let ways = self.ways;
-        let skey = self.store_key(tx.key);
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(tx.key.vmid);
-        let seg = &mut self.segments[idx];
+    /// Inserts an L1-TLB victim: an Idle segment switches to Tx mode
+    /// and what the insert displaces continues down the fill flow (Fig
+    /// 12 flow ❶→❷→❹→❻); an App segment refuses the victim, which
+    /// skips the LDS (flow ❶→❷→❸→❺).
+    pub fn insert(&mut self, tx: Translation) -> TxInsert {
+        let tick = self.core.tick();
+        let idx = self.core.index(tx.key);
+        let seg = &mut self.core.groups[idx];
         match seg.mode {
             SegmentMode::App => {
-                self.stats.bypassed += 1;
-                LdsInsert::Bypassed
+                self.stats.tx.bypassed += 1;
+                return TxInsert::Bypassed;
             }
             SegmentMode::Idle => {
                 seg.mode = SegmentMode::Tx;
-                seg.tags.clear();
-                assert!(seg.tags.try_admit(tag), "empty group admits");
-                seg.set(0, skey, tx.ppn, tick, bit, tx.span_log2);
-                self.stats.inserts += 1;
-                LdsInsert::Inserted { evicted: None }
+                seg.ways.clear();
             }
-            SegmentMode::Tx => {
-                // Refresh on re-insert of the same key; under sub-entry
-                // sharing a PPN-matching insert *merges* (the tenant
-                // joins the way's valid mask, arXiv 2404.18361 §4)
-                // while a PPN conflict rebases the way to the inserting
-                // tenant alone — the old sharers' mapping is stale.
-                if let Some(i) = seg.find(ways, skey) {
-                    if sub && seg.ppns[i] == tx.ppn {
-                        seg.tmasks[i] |= bit;
-                    } else {
-                        if sub {
-                            seg.tmasks[i] = bit;
-                        }
-                        seg.ppns[i] = tx.ppn;
-                    }
-                    // The refresh's span wins (the newest walk knows
-                    // best whether the run widened or narrowed).
-                    seg.spans[i] = tx.span_log2;
-                    seg.last_use[i] = tick;
-                    self.stats.inserts += 1;
-                    return LdsInsert::Inserted { evicted: None };
-                }
-                let mut evicted = None;
-                if !seg.tags.fits(tag) {
-                    // Compression conflict: the residents' base cannot
-                    // express the new tag. Evict everything and re-base;
-                    // only the most-recently-used victim is forwarded.
-                    self.stats.compression_conflicts += 1;
-                    let mru =
-                        ones(seg.valid).max_by_key(|&i| seg.last_use[i]).map(|i| seg.victim(i, sub));
-                    let dropped = seg.drop_all_tx();
-                    self.stats.evictions += dropped as u64;
-                    self.stats.conflict_drops += dropped.saturating_sub(1) as u64;
-                    evicted = mru;
-                } else if seg.resident() == ways {
-                    // Set full: evict the LRU way.
-                    let i = ones(seg.valid)
-                        .min_by_key(|&i| seg.last_use[i])
-                        .expect("full segment non-empty");
-                    evicted = Some(seg.victim(i, sub));
-                    seg.valid &= !(1 << i);
-                    seg.tags.retire();
-                    self.stats.evictions += 1;
-                }
-                assert!(seg.tags.try_admit(tag), "tag checked to fit");
-                let free = (!seg.valid).trailing_zeros() as usize;
-                debug_assert!(free < ways, "a slot was freed or available");
-                seg.set(free, skey, tx.ppn, tick, bit, tx.span_log2);
-                self.stats.inserts += 1;
-                LdsInsert::Inserted { evicted }
-            }
+            SegmentMode::Tx => {}
         }
+        TxInsert::Inserted { evicted: self.core.fill(idx, tx, tick, &mut self.stats.tx) }
     }
 
     /// A workgroup allocation claimed `[base, base+size)`: covered
@@ -505,9 +200,9 @@ impl TxLds {
     /// (overwrite without data movement, §4.2.3).
     pub fn on_app_allocate(&mut self, base: u32, size: u32) {
         for i in self.covered(base, size) {
-            let seg = &mut self.segments[i];
+            let seg = &mut self.core.groups[i];
             if seg.mode == SegmentMode::Tx {
-                self.stats.overwritten_by_app += seg.drop_all_tx() as u64;
+                self.stats.overwritten_by_app += seg.ways.clear() as u64;
             }
             seg.mode = SegmentMode::App;
         }
@@ -517,10 +212,9 @@ impl TxLds {
     /// covered segments become Idle.
     pub fn on_app_release(&mut self, base: u32, size: u32) {
         for i in self.covered(base, size) {
-            let seg = &mut self.segments[i];
+            let seg = &mut self.core.groups[i];
             debug_assert_ne!(seg.mode, SegmentMode::Tx, "Tx can never overwrite App");
-            seg.valid = 0;
-            seg.tags.clear();
+            seg.ways.clear();
             seg.mode = SegmentMode::Idle;
         }
     }
@@ -531,184 +225,30 @@ impl TxLds {
         }
         let first = (base / self.segment_bytes) as usize;
         let last = ((base + size - 1) / self.segment_bytes) as usize + 1;
-        first..last.min(self.segments.len())
+        first..last.min(self.segment_count())
     }
 
-    /// Shootdown: invalidates `key` if present; returns whether it was.
-    ///
-    /// Under sub-entry sharing only the shooting tenant's valid-mask
-    /// bit is cleared; the way survives for its co-sharers and is
-    /// freed only when the mask empties (arXiv 2404.18361 §4.3).
-    ///
-    /// Under coalescing every way whose span covers `key` is dropped
-    /// *whole* — unlike the TLB's buddy split, a victim cache holds
-    /// clean copies, so conservatively losing the run's other pages is
-    /// always safe and needs no fragment bookkeeping (they refill on
-    /// the next walk).
+    /// Shootdown: invalidates `key` if present; returns whether it was
+    /// (sub-entry and coalescing rules in [`crate::tx_ways`]).
     pub fn shootdown(&mut self, key: TranslationKey) -> bool {
-        let Some(max) = self.coalescing else { return self.shootdown_exact(key) };
-        let ways = self.ways;
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(key.vmid);
-        let mut any = false;
-        let mut prev = u64::MAX;
-        for k in 0..=max {
-            let bvpn = key.vpn.0 & !((1u64 << k) - 1); // k=0: the exact key
-            if bvpn == prev {
-                continue;
-            }
-            prev = bvpn;
-            let bkey = TranslationKey { vpn: Vpn(bvpn), ..key };
-            let idx = self.index(bkey);
-            let skey = self.store_key(bkey);
-            let span;
-            {
-                let seg = &mut self.segments[idx];
-                if seg.mode != SegmentMode::Tx {
-                    continue;
-                }
-                let Some(i) = seg.find(ways, skey) else { continue };
-                if key.vpn.0 - bvpn >= (1u64 << seg.spans[i]) {
-                    continue; // resident way does not reach the shot page
-                }
-                span = seg.spans[i];
-                if sub {
-                    if seg.tmasks[i] & bit == 0 {
-                        continue;
-                    }
-                    seg.tmasks[i] &= !bit;
-                    if seg.tmasks[i] == 0 {
-                        seg.valid &= !(1 << i);
-                        seg.tags.retire();
-                    }
-                } else {
-                    seg.valid &= !(1 << i);
-                    seg.tags.retire();
-                }
-            }
-            self.stats.shootdowns += 1;
-            if span > 0 {
-                self.stats.coalescing.splits += 1;
-            }
-            any = true;
-        }
-        any
+        self.core.shootdown(key, &mut self.stats.tx)
     }
 
-    /// The classic (non-coalescing) shootdown path, byte-identical to
-    /// the pre-coalescing behavior.
-    fn shootdown_exact(&mut self, key: TranslationKey) -> bool {
-        let idx = self.index(key);
-        let ways = self.ways;
-        let skey = self.store_key(key);
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(key.vmid);
-        let seg = &mut self.segments[idx];
-        if seg.mode != SegmentMode::Tx {
-            return false;
-        }
-        if let Some(i) = seg.find(ways, skey) {
-            if sub {
-                if seg.tmasks[i] & bit == 0 {
-                    return false;
-                }
-                seg.tmasks[i] &= !bit;
-                self.stats.shootdowns += 1;
-                if seg.tmasks[i] == 0 {
-                    seg.valid &= !(1 << i);
-                    seg.tags.retire();
-                }
-                return true;
-            }
-            seg.valid &= !(1 << i);
-            seg.tags.retire();
-            self.stats.shootdowns += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Drops every translation visible to `vmid` (tenant teardown /
-    /// churn); returns the number of visibility losses. Under
-    /// sub-entry sharing this clears the tenant's bit across all ways,
-    /// freeing only ways whose mask empties.
+    /// Drops every translation visible to `vmid` (tenant teardown);
+    /// returns the number of visibility losses.
     pub fn invalidate_vmid(&mut self, vmid: VmId) -> usize {
-        let sub = self.sub_entry();
-        let bit = TenancyConfig::mask_bit(vmid);
-        let mut lost = 0;
-        for seg in &mut self.segments {
-            if seg.mode != SegmentMode::Tx {
-                continue;
-            }
-            for i in ones(seg.valid) {
-                if sub {
-                    if seg.tmasks[i] & bit != 0 {
-                        seg.tmasks[i] &= !bit;
-                        lost += 1;
-                        if seg.tmasks[i] == 0 {
-                            seg.valid &= !(1 << i);
-                            seg.tags.retire();
-                        }
-                    }
-                } else if seg.keys[i].vmid == vmid {
-                    seg.valid &= !(1 << i);
-                    seg.tags.retire();
-                    lost += 1;
-                }
-            }
-        }
-        lost
+        self.core.invalidate_vmid(vmid)
     }
 
     /// Translations currently resident (Fig 15's "entries gained").
     pub fn resident(&self) -> usize {
-        self.segments.iter().map(Segment::resident).sum()
+        self.core.resident()
     }
 
-    /// Segments currently in each mode `(idle, app, tx)`.
-    pub fn mode_census(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for s in &self.segments {
-            match s.mode {
-                SegmentMode::Idle => c.0 += 1,
-                SegmentMode::App => c.1 += 1,
-                SegmentMode::Tx => c.2 += 1,
-            }
-        }
-        c
-    }
-
-    /// Iterates over resident translations (Fig 14a sharing analysis).
-    ///
-    /// Under sub-entry sharing each way expands to one translation per
-    /// set mask bit, with the canonical key retagged by that sharer's
-    /// VM-ID — so coherence checks can validate the mapping against
-    /// every sharing tenant's page table.
-    /// A coalesced way expands to one logical single-page translation
-    /// per covered page, so coherence checks validate the run
-    /// arithmetic against the page table page by page.
+    /// Iterates over resident translations (Fig 14a sharing analysis),
+    /// one per covered page and sharing tenant.
     pub fn iter(&self) -> impl Iterator<Item = Translation> + '_ {
-        let sub = self.sub_entry();
-        self.segments.iter().filter(|s| s.mode == SegmentMode::Tx).flat_map(move |s| {
-            ones(s.valid).flat_map(move |i| {
-                let (key, ppn, span) = (s.keys[i], s.ppns[i], s.spans[i]);
-                let mask = if sub { s.tmasks[i] } else { 1 << key.vmid.raw() };
-                (0..(1u64 << span)).flat_map(move |o| {
-                    (0..MAX_TENANTS as u8).filter(move |b| mask & (1u8 << b) != 0).map(
-                        move |b| {
-                            let vpn = Vpn(key.vpn.0 + o);
-                            let k = if sub {
-                                TranslationKey { vpn, vmid: VmId::new(b), ..key }
-                            } else {
-                                TranslationKey { vpn, ..key }
-                            };
-                            Translation::new(k, Ppn(ppn.0 + o))
-                        },
-                    )
-                })
-            })
-        })
+        self.core.iter()
     }
 
     /// Accumulated statistics.
@@ -722,11 +262,12 @@ impl TxLds {
         self.stats = TxLdsStats::default();
     }
 
-    /// Drops every translation (used between independent runs).
+    /// Drops every translation (used between independent runs); App
+    /// segments keep their allocation.
     pub fn clear_tx(&mut self) {
-        for seg in &mut self.segments {
+        for seg in &mut self.core.groups {
             if seg.mode == SegmentMode::Tx {
-                seg.drop_all_tx();
+                seg.ways.clear();
                 seg.mode = SegmentMode::Idle;
             }
         }
@@ -735,8 +276,10 @@ impl TxLds {
 
 #[cfg(test)]
 mod tests {
+    //! LDS-only behaviour; the Tx-mode behaviour shared with the
+    //! I-cache is the suite in `tx_ways`, run once per structure.
     use super::*;
-    use gtr_vm::addr::Vpn;
+    use gtr_vm::addr::{Ppn, Vpn};
 
     fn tx(v: u64) -> Translation {
         Translation::new(TranslationKey::for_vpn(Vpn(v)), Ppn(v + 1))
@@ -757,51 +300,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_lookup_promote_cycle() {
-        let mut l = lds();
-        let t = tx(42);
-        assert_eq!(l.insert(t), LdsInsert::Inserted { evicted: None });
-        assert_eq!(l.resident(), 1);
-        assert_eq!(l.lookup(t.key), Some(t));
-        assert_eq!(l.resident(), 1, "hit copies out; the entry stays");
-        assert_eq!(l.lookup(t.key), Some(t), "still resident");
-        assert_eq!(l.stats().lookups.hits, 2);
-    }
-
-    #[test]
-    fn lookup_refreshes_lru() {
-        let mut l = lds();
-        let n = l.segment_count() as u64;
-        let v = |i: u64| tx(5 + i * n);
-        l.insert(v(0));
-        l.insert(v(1));
-        l.insert(v(2));
-        l.lookup(v(0).key); // v(0) becomes MRU; LRU is v(1)
-        match l.insert(v(3)) {
-            LdsInsert::Inserted { evicted: Some(e) } => assert_eq!(e.key, v(1).key),
-            other => panic!("expected eviction of v1: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn three_way_associativity_with_lru() {
-        let mut l = lds();
-        let n = l.segment_count() as u64;
-        // Four VPNs mapping to segment 5.
-        let v = |i: u64| tx(5 + i * n);
-        l.insert(v(0));
-        l.insert(v(1));
-        l.insert(v(2));
-        assert_eq!(l.resident(), 3);
-        // LRU is v(0); inserting v(3) evicts it.
-        match l.insert(v(3)) {
-            LdsInsert::Inserted { evicted: Some(e) } => assert_eq!(e.key, v(0).key),
-            other => panic!("expected eviction, got {other:?}"),
-        }
-        assert_eq!(l.resident(), 3);
-    }
-
-    #[test]
     fn app_mode_bypasses_and_drops() {
         let mut l = lds();
         let t = tx(3);
@@ -810,63 +308,30 @@ mod tests {
         l.on_app_allocate(0, 256); // segments 0..8
         assert_eq!(l.resident(), 0, "app overwrite drops translations");
         assert_eq!(l.stats().overwritten_by_app, 1);
-        assert_eq!(l.insert(t), LdsInsert::Bypassed);
+        assert_eq!(l.insert(t), TxInsert::Bypassed);
+        assert_eq!(l.stats().tx.bypassed, 1);
         assert_eq!(l.segment_mode(t.key), SegmentMode::App);
         // Release frees the capacity again.
         l.on_app_release(0, 256);
-        assert!(matches!(l.insert(t), LdsInsert::Inserted { .. }));
+        assert_eq!(l.segment_mode(t.key), SegmentMode::Idle);
+        assert!(matches!(l.insert(t), TxInsert::Inserted { .. }));
     }
 
     #[test]
-    fn compression_conflict_evicts_and_rebases() {
-        let mut l = lds();
-        let n = l.segment_count() as u64;
-        // Tags 0 and 1 coexist; tag 1<<20 cannot (16-bit delta).
-        l.insert(tx(7));
-        l.insert(tx(7 + n));
-        let far = tx(7 + (1 << 20) * n);
-        match l.insert(far) {
-            LdsInsert::Inserted { evicted: Some(_) } => {}
-            other => panic!("conflict should evict and forward one victim: {other:?}"),
-        }
-        assert_eq!(l.stats().compression_conflicts, 1);
-        assert_eq!(l.resident(), 1);
-        assert_eq!(l.lookup(far.key), Some(far));
-    }
-
-    #[test]
-    fn reinsert_refreshes_ppn() {
-        let mut l = lds();
-        let k = TranslationKey::for_vpn(Vpn(9));
-        l.insert(Translation::new(k, Ppn(1)));
-        l.insert(Translation::new(k, Ppn(2)));
-        assert_eq!(l.resident(), 1);
-        assert_eq!(l.lookup(k).unwrap().ppn, Ppn(2));
-    }
-
-    #[test]
-    fn shootdown_removes_entry() {
-        let mut l = lds();
-        let t = tx(11);
-        l.insert(t);
-        assert!(l.shootdown(t.key));
-        assert!(!l.shootdown(t.key));
-        assert_eq!(l.lookup(t.key), None);
-        assert_eq!(l.stats().shootdowns, 1);
-    }
-
-    #[test]
-    fn mode_census_and_clear() {
+    fn clear_tx_leaves_app_segments() {
         let mut l = lds();
         l.insert(tx(0));
-        l.on_app_allocate(512, 512);
-        let (_idle, app, txm) = l.mode_census();
-        assert_eq!(app, 16); // 512 bytes / 32
-        assert_eq!(txm, 1);
+        l.on_app_allocate(512, 512); // segments 16..32
+        let modes = |l: &TxLds| (0..512).map(|v| l.segment_mode(tx(v).key)).collect::<Vec<_>>();
+        let before = modes(&l);
+        assert_eq!(before[0], SegmentMode::Tx);
+        assert_eq!(before.iter().filter(|&&m| m == SegmentMode::App).count(), 16); // 512 B / 32
         l.clear_tx();
-        let (_, app2, tx2) = l.mode_census();
-        assert_eq!(app2, 16, "clear_tx leaves app segments");
-        assert_eq!(tx2, 0);
+        assert_eq!(l.resident(), 0);
+        for (v, (old, new)) in before.into_iter().zip(modes(&l)).enumerate() {
+            let want = if old == SegmentMode::Tx { SegmentMode::Idle } else { old };
+            assert_eq!(new, want, "segment {v}: clear_tx leaves app segments");
+        }
     }
 
     #[test]
@@ -890,296 +355,5 @@ mod tests {
         assert_eq!(l.ways(), 6);
         // Same total capacity in entries.
         assert_eq!(l.segment_count() * l.ways(), 1536);
-    }
-
-    #[test]
-    fn sriov_identities_do_not_alias() {
-        use gtr_vm::addr::{VmId, VrfId};
-        let mut l = lds();
-        let mk = |vm: u8, vrf: u8| TranslationKey {
-            vpn: Vpn(7),
-            vmid: VmId::new(vm),
-            vrf: VrfId::new(vrf),
-        };
-        l.insert(Translation::new(mk(0, 0), Ppn(1)));
-        l.insert(Translation::new(mk(1, 1), Ppn(2)));
-        assert_eq!(l.lookup(mk(0, 0)).unwrap().ppn, Ppn(1));
-        assert_eq!(l.lookup(mk(1, 1)).unwrap().ppn, Ppn(2));
-        assert_eq!(l.lookup(mk(1, 0)), None, "unseen identity must miss");
-        assert!(l.shootdown(mk(0, 0)));
-        assert_eq!(l.lookup(mk(0, 0)), None);
-        assert!(l.lookup(mk(1, 1)).is_some(), "other identity survives");
-    }
-
-    #[test]
-    fn iter_reports_residents() {
-        let mut l = lds();
-        l.insert(tx(1));
-        l.insert(tx(2));
-        assert_eq!(l.iter().count(), 2);
-    }
-
-    mod tenancy {
-        use super::*;
-        use gtr_vm::addr::VmId;
-        use gtr_vm::tenancy::{SharingPolicy, TenancyConfig};
-
-        fn keyed(v: u64, vm: u8) -> Translation {
-            let key = TranslationKey {
-                vpn: Vpn(v),
-                vmid: VmId::new(vm),
-                vrf: gtr_vm::addr::VrfId::new(0),
-            };
-            Translation::new(key, Ppn(v + 1))
-        }
-
-        fn tenanted(policy: SharingPolicy, tenants: u8) -> TxLds {
-            let mut l = lds();
-            l.set_tenancy(TenancyConfig::new(tenants, policy));
-            l
-        }
-
-        #[test]
-        fn partitioned_stripes_segments_by_tenant() {
-            let mut l = tenanted(SharingPolicy::Partitioned, 2);
-            // Same VPN, two tenants: the stripe remap must land them in
-            // different segments, so neither can evict the other.
-            l.insert(keyed(7, 0));
-            l.insert(keyed(7, 1));
-            assert_eq!(l.resident(), 2);
-            assert_eq!(l.lookup(keyed(7, 0).key), Some(keyed(7, 0)));
-            assert_eq!(l.lookup(keyed(7, 1).key), Some(keyed(7, 1)));
-            // Fill tenant 0's segment to overflow: victims must all be
-            // tenant 0's own translations.
-            let per = l.segment_count() / 2;
-            for i in 0..8u64 {
-                if let LdsInsert::Inserted { evicted: Some(e) } =
-                    l.insert(keyed(7 + i * per as u64, 0))
-                {
-                    assert_eq!(e.key.vmid.raw(), 0, "no cross-tenant eviction");
-                }
-            }
-            assert!(l.lookup(keyed(7, 1).key).is_some(), "tenant 1 untouched");
-        }
-
-        #[test]
-        fn shared_policy_checks_vmid_on_hit() {
-            let mut l = tenanted(SharingPolicy::Shared, 2);
-            l.insert(keyed(3, 0));
-            assert!(l.lookup(keyed(3, 0).key).is_some());
-            assert!(l.lookup(keyed(3, 1).key).is_none(), "foreign vmid must miss");
-        }
-
-        #[test]
-        fn sub_entry_merges_on_ppn_match() {
-            let mut l = tenanted(SharingPolicy::SubEntry, 2);
-            let k0 = keyed(5, 0).key;
-            let k1 = keyed(5, 1).key;
-            l.insert(Translation::new(k0, Ppn(42)));
-            l.insert(Translation::new(k1, Ppn(42)));
-            assert_eq!(l.resident(), 1, "PPN-matching tenants share one way");
-            assert_eq!(l.lookup(k0), Some(Translation::new(k0, Ppn(42))));
-            assert_eq!(l.lookup(k1), Some(Translation::new(k1, Ppn(42))));
-            assert_eq!(l.iter().count(), 2, "iter expands one entry per sharer");
-        }
-
-        #[test]
-        fn sub_entry_ppn_conflict_rebases() {
-            let mut l = tenanted(SharingPolicy::SubEntry, 2);
-            let k0 = keyed(5, 0).key;
-            let k1 = keyed(5, 1).key;
-            l.insert(Translation::new(k0, Ppn(42)));
-            l.insert(Translation::new(k1, Ppn(99)));
-            assert_eq!(l.resident(), 1);
-            assert!(l.lookup(k0).is_none(), "stale sharer evicted from the mask");
-            assert_eq!(l.lookup(k1), Some(Translation::new(k1, Ppn(99))));
-        }
-
-        #[test]
-        fn sub_entry_shootdown_clears_one_bit() {
-            let mut l = tenanted(SharingPolicy::SubEntry, 2);
-            let k0 = keyed(5, 0).key;
-            let k1 = keyed(5, 1).key;
-            l.insert(Translation::new(k0, Ppn(42)));
-            l.insert(Translation::new(k1, Ppn(42)));
-            assert!(l.shootdown(k0));
-            assert!(l.lookup(k0).is_none());
-            assert!(l.lookup(k1).is_some(), "co-sharer survives the shootdown");
-            assert!(!l.shootdown(k0), "bit already clear");
-            assert!(l.shootdown(k1));
-            assert_eq!(l.resident(), 0, "entry dies when its mask empties");
-        }
-
-        #[test]
-        fn sub_entry_victim_carries_representative_vmid() {
-            let mut l = tenanted(SharingPolicy::SubEntry, 2);
-            let n = l.segment_count() as u64;
-            let seg5 = |i: u64, vm: u8| keyed(5 + i * n, vm);
-            // One shared way (tenants 0+1) plus two singles fills the set.
-            l.insert(Translation::new(seg5(0, 0).key, Ppn(42)));
-            l.insert(Translation::new(seg5(0, 1).key, Ppn(42)));
-            l.insert(seg5(1, 0));
-            l.insert(seg5(2, 0));
-            // Next insert evicts the LRU (the shared way): forwarded on
-            // behalf of its lowest sharer, tenant 0.
-            match l.insert(seg5(3, 1)) {
-                LdsInsert::Inserted { evicted: Some(e) } => {
-                    assert_eq!(e.key.vpn, Vpn(5));
-                    assert_eq!(e.key.vmid.raw(), 0, "lowest-numbered sharer");
-                }
-                other => panic!("expected eviction: {other:?}"),
-            }
-        }
-
-        #[test]
-        fn invalidate_vmid_counts_visibility_losses() {
-            let mut l = tenanted(SharingPolicy::SubEntry, 2);
-            l.insert(Translation::new(keyed(5, 0).key, Ppn(42)));
-            l.insert(Translation::new(keyed(5, 1).key, Ppn(42)));
-            l.insert(keyed(9, 0));
-            assert_eq!(l.invalidate_vmid(VmId::new(0)), 2);
-            assert_eq!(l.resident(), 1, "shared way survives for tenant 1");
-            assert!(l.lookup(keyed(5, 1).key).is_some());
-        }
-
-        #[test]
-        fn single_tenant_shared_matches_untenanted() {
-            let mut plain = lds();
-            let mut shared = tenanted(SharingPolicy::Shared, 1);
-            for i in 0..2048u64 {
-                assert_eq!(plain.insert(tx(i * 3)), shared.insert(tx(i * 3)));
-                assert_eq!(plain.lookup(tx(i).key), shared.lookup(tx(i).key));
-            }
-            assert_eq!(plain.resident(), shared.resident());
-            assert_eq!(plain.stats().evictions, shared.stats().evictions);
-        }
-
-        #[test]
-        #[should_panic(expected = "before first insert")]
-        fn set_tenancy_rejects_warm_structure() {
-            let mut l = lds();
-            l.insert(tx(1));
-            l.set_tenancy(TenancyConfig::new(2, SharingPolicy::Shared));
-        }
-    }
-
-    mod coalescing {
-        use super::*;
-
-        fn co_lds(max: u8) -> TxLds {
-            let mut l = lds();
-            l.set_coalescing(Some(max));
-            l
-        }
-
-        /// One span-3 run: vpns 40..48 -> ppns 500..508.
-        fn span3() -> Translation {
-            Translation::with_span(TranslationKey::for_vpn(Vpn(40)), Ppn(500), 3)
-        }
-
-        fn key(v: u64) -> TranslationKey {
-            TranslationKey::for_vpn(Vpn(v))
-        }
-
-        #[test]
-        fn covered_pages_hit_through_base_segment() {
-            let mut l = co_lds(4);
-            l.insert(span3());
-            assert_eq!(l.resident(), 1, "one way holds the whole run");
-            for v in 40..48u64 {
-                assert!(l.may_hold(key(v)), "routing gate must see the run at vpn {v}");
-                let hit = l.lookup(key(v)).expect("covered page must hit");
-                assert_eq!(hit.key.vpn, Vpn(40));
-                assert_eq!(hit.ppn_for(Vpn(v)), Ppn(500 + (v - 40)));
-            }
-            assert!(l.lookup(key(48)).is_none());
-            assert_eq!(l.stats().lookups.hits, 8);
-            assert_eq!(l.stats().coalescing.hits, 7, "exact-base hit is not a covering hit");
-        }
-
-        #[test]
-        fn insert_counters_measure_reach() {
-            let mut l = co_lds(4);
-            l.insert(span3());
-            l.insert(tx(100));
-            let co = l.stats().coalescing;
-            assert_eq!(co.inserts, 2);
-            assert_eq!(co.coalesced, 1);
-            assert_eq!(co.span_pages, 9);
-        }
-
-        #[test]
-        fn bypassed_inserts_do_not_count_reach() {
-            let mut l = co_lds(4);
-            l.on_app_allocate(0, 16 * 1024); // every segment App
-            assert_eq!(l.insert(span3()), LdsInsert::Bypassed);
-            assert_eq!(l.stats().coalescing, CoalescingCounters::default());
-        }
-
-        #[test]
-        fn shootdown_drops_the_whole_covering_way() {
-            let mut l = co_lds(4);
-            l.insert(span3());
-            assert!(l.shootdown(key(42)));
-            for v in 40..48u64 {
-                assert!(l.lookup(key(v)).is_none(), "victim caches drop the run whole ({v})");
-            }
-            assert_eq!(l.resident(), 0);
-            assert_eq!(l.stats().coalescing.splits, 1);
-            assert!(!l.shootdown(key(42)));
-        }
-
-        #[test]
-        fn iter_expands_covered_pages() {
-            let mut l = co_lds(4);
-            l.insert(span3());
-            let pages: Vec<(u64, u64)> = l.iter().map(|e| (e.key.vpn.0, e.ppn.0)).collect();
-            assert_eq!(pages.len(), 8);
-            for (vpn, ppn) in pages {
-                assert_eq!(ppn - 500, vpn - 40);
-            }
-        }
-
-        #[test]
-        fn victims_keep_their_span() {
-            let mut l = co_lds(4);
-            let n = l.segment_count() as u64;
-            // Fill the base segment of vpn 40 with three runs, then a
-            // fourth insert to the same segment evicts the LRU run.
-            let run = |i: u64| {
-                Translation::with_span(TranslationKey::for_vpn(Vpn(40 + i * 8 * n)), Ppn(500), 3)
-            };
-            l.insert(run(0));
-            l.insert(run(1));
-            l.insert(run(2));
-            match l.insert(run(3)) {
-                LdsInsert::Inserted { evicted: Some(e) } => {
-                    assert_eq!(e.key, run(0).key);
-                    assert_eq!(e.span_log2, 3, "Fig-12 victims carry the whole run");
-                }
-                other => panic!("expected eviction: {other:?}"),
-            }
-        }
-
-        #[test]
-        fn may_hold_matches_old_gate_when_off() {
-            let mut l = lds();
-            l.insert(tx(7));
-            for v in 0..64u64 {
-                assert_eq!(
-                    l.may_hold(key(v)),
-                    l.segment_mode(key(v)) == SegmentMode::Tx,
-                    "vpn {v}"
-                );
-            }
-        }
-
-        #[test]
-        #[should_panic(expected = "before first insert")]
-        fn set_coalescing_rejects_warm_structure() {
-            let mut l = lds();
-            l.insert(tx(1));
-            l.set_coalescing(Some(4));
-        }
     }
 }

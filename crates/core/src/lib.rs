@@ -10,6 +10,9 @@
 //!   structures participate, packing density, replacement policy,
 //!   kernel-boundary flush, wire latency, LDS segment size).
 //! * [`compress`] — base-delta tag compression (Figs 7 and 10c).
+//! * [`tx_ways`] — the victim-store core both reconfigurable
+//!   structures share: way groups under one compressed tag, lookup,
+//!   fill, shootdown, tenancy and coalesced spans.
 //! * [`lds_tx`] — reconfigurable LDS: 32-byte segments with mode bits,
 //!   co-located compressed tags + 3-way translation storage (§4.2).
 //! * [`icache_tx`] — reconfigurable I-cache: per-line mode bits,
@@ -58,4 +61,5 @@ pub mod lds_tx;
 pub mod obs;
 pub mod stats;
 pub mod system;
+pub mod tx_ways;
 pub mod victim;

@@ -1774,13 +1774,13 @@ impl System {
         let mut lds_resident = 0u64;
         for cu in &self.cus {
             l1.merge(cu.l1_tlb.stats());
-            lds.merge(cu.tx_lds.stats().lookups);
+            lds.merge(cu.tx_lds.stats().tx.lookups);
             lds_resident += cu.tx_lds.resident() as u64;
         }
         let mut ic = gtr_sim::stats::HitMiss::new();
         let mut ic_resident = 0u64;
         for icache in &self.shared.icaches {
-            ic.merge(icache.stats().tx_lookups);
+            ic.merge(icache.stats().tx.lookups);
             ic_resident += icache.resident_tx() as u64;
         }
         let l2 = self.shared.l2_tlb.stats();
@@ -1818,12 +1818,12 @@ impl System {
             let l1 = cu.l1_tlb.stats();
             s.l1_hits += l1.hits;
             s.l1_misses += l1.misses;
-            let lds = cu.tx_lds.stats().lookups;
+            let lds = cu.tx_lds.stats().tx.lookups;
             s.lds_hits += lds.hits;
             s.lds_misses += lds.misses;
         }
         for ic in &self.shared.icaches {
-            let tx = ic.stats().tx_lookups;
+            let tx = ic.stats().tx.lookups;
             s.ic_hits += tx.hits;
             s.ic_misses += tx.misses;
         }
@@ -1882,7 +1882,7 @@ impl System {
         let mut lds_idle = Sampler::new();
         for (cu, alloc) in self.cus.iter().zip(&self.lds_allocs) {
             l1.merge(cu.l1_tlb.stats());
-            lds_tx.merge(cu.tx_lds.stats().lookups);
+            lds_tx.merge(cu.tx_lds.stats().tx.lookups);
             for &v in alloc.request_sizes().samples() {
                 lds_req.record(v);
             }
@@ -1894,7 +1894,7 @@ impl System {
         let mut inst_fetch = gtr_sim::stats::HitMiss::new();
         let mut ic_idle = Sampler::new();
         for ic in &self.shared.icaches {
-            ic_tx.merge(ic.stats().tx_lookups);
+            ic_tx.merge(ic.stats().tx.lookups);
             inst_fetch.merge(ic.stats().inst);
             for &v in ic.port().idle_gaps().samples() {
                 ic_idle.record(v);
@@ -1917,10 +1917,10 @@ impl System {
             let mut co = self.shared.l2_tlb.coalescing_counters();
             for cu in &self.cus {
                 co.merge(&cu.l1_tlb.coalescing_counters());
-                co.merge(&cu.tx_lds.stats().coalescing);
+                co.merge(&cu.tx_lds.stats().tx.coalescing);
             }
             for ic in &self.shared.icaches {
-                co.merge(&ic.stats().coalescing);
+                co.merge(&ic.stats().tx.coalescing);
             }
             crate::stats::CoalescingStats::from_counters(&co)
         });

@@ -15,9 +15,10 @@ use gtr_vm::addr::{Translation, TranslationKey};
 use gtr_vm::tlb::Tlb;
 
 use crate::config::ReachConfig;
-use crate::icache_tx::{IcInsert, TxIcache};
-use crate::lds_tx::{LdsInsert, SegmentMode, TxLds};
+use crate::icache_tx::TxIcache;
+use crate::lds_tx::{SegmentMode, TxLds};
 use crate::obs::VictimLifetimes;
+use crate::tx_ways::TxInsert;
 
 /// Which reconfigurable structure produced a victim-cache hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,91 +103,24 @@ pub fn fill_l1_victim_traced(
     mut obs: Option<&mut VictimLifetimes>,
 ) -> usize {
     let mut writes = 0;
-    // ❶→❷: try the LDS segment for this VPN.
+    // ❶→❷: try the LDS segment for this VPN; ❸ an App segment passes
+    // the victim on, ❹ an LDS insert passes on what it displaced.
     let mut candidate = Some(victim);
     if cfg.lds_enabled {
-        let was_idle =
-            sink.is_some() && lds.segment_mode(victim.key) == SegmentMode::Idle;
-        match lds.insert(victim) {
-            LdsInsert::Inserted { evicted } => {
-                writes += 1;
-                if let Some(s) = sink.as_deref_mut() {
-                    s.emit(&TraceEvent::VictimInsert {
-                        cycle: now,
-                        structure: TxStructure::Lds,
-                        vpn: victim.key.vpn.0,
-                        vmid: victim.key.vmid.raw(),
-                        evicted_vpn: evicted.map(|e| e.key.vpn.0),
-                        evicted_vmid: evicted.map(|e| e.key.vmid.raw()),
-                        mode_flip: was_idle,
-                    });
-                }
-                if let Some(o) = obs.as_deref_mut() {
-                    o.insert(
-                        TxStructure::Lds,
-                        victim.key.vpn.0,
-                        victim.key.vmid.raw(),
-                        evicted.map(|e| (e.key.vpn.0, e.key.vmid.raw())),
-                        now,
-                    );
-                }
-                candidate = evicted; // ❹: LDS victim continues onward
-            }
-            LdsInsert::Bypassed => {
-                if let Some(s) = sink.as_deref_mut() {
-                    s.emit(&TraceEvent::VictimBypass {
-                        cycle: now,
-                        structure: TxStructure::Lds,
-                        vpn: victim.key.vpn.0,
-                        vmid: victim.key.vmid.raw(),
-                    });
-                }
-                candidate = Some(victim); // ❸
-            }
-        }
+        let flip = sink.is_some() && lds.segment_mode(victim.key) == SegmentMode::Idle;
+        let outcome = lds.insert(victim);
+        writes += usize::from(outcome != TxInsert::Bypassed);
+        candidate = record(TxStructure::Lds, victim, outcome, flip, now, &mut sink, &mut obs);
     }
-    // ❺: the surviving candidate tries its direct-mapped I-cache line.
+    // ❺: the surviving candidate tries its direct-mapped I-cache line;
+    // ❻ what it displaces (or the bypassed candidate) falls to the L2.
     let Some(cand) = candidate else { return writes };
     let mut to_l2 = Some(cand);
     if cfg.icache_enabled {
-        let was_tx = sink.is_none() || icache.is_tx_line(cand.key);
-        match icache.insert_tx(cand) {
-            IcInsert::Inserted { evicted } => {
-                writes += 1;
-                if let Some(s) = sink.as_deref_mut() {
-                    s.emit(&TraceEvent::VictimInsert {
-                        cycle: now,
-                        structure: TxStructure::Icache,
-                        vpn: cand.key.vpn.0,
-                        vmid: cand.key.vmid.raw(),
-                        evicted_vpn: evicted.map(|e| e.key.vpn.0),
-                        evicted_vmid: evicted.map(|e| e.key.vmid.raw()),
-                        mode_flip: !was_tx,
-                    });
-                }
-                if let Some(o) = obs {
-                    o.insert(
-                        TxStructure::Icache,
-                        cand.key.vpn.0,
-                        cand.key.vmid.raw(),
-                        evicted.map(|e| (e.key.vpn.0, e.key.vmid.raw())),
-                        now,
-                    );
-                }
-                to_l2 = evicted; // ❻: I-cache victim falls to the L2 TLB
-            }
-            IcInsert::Bypassed => {
-                if let Some(s) = sink.as_deref_mut() {
-                    s.emit(&TraceEvent::VictimBypass {
-                        cycle: now,
-                        structure: TxStructure::Icache,
-                        vpn: cand.key.vpn.0,
-                        vmid: cand.key.vmid.raw(),
-                    });
-                }
-                to_l2 = Some(cand);
-            }
-        }
+        let flip = sink.is_some() && !icache.is_tx_line(cand.key);
+        let outcome = icache.insert_tx(cand);
+        writes += usize::from(outcome != TxInsert::Bypassed);
+        to_l2 = record(TxStructure::Icache, cand, outcome, flip, now, &mut sink, &mut obs);
     }
     // ❻: terminate in the L2 TLB (its own victim is simply dropped —
     // there is nothing below it but the page tables).
@@ -208,6 +142,47 @@ pub fn fill_l1_victim_traced(
     writes
 }
 
+/// Narrates one victim store's insert `outcome` for `tx` to the trace
+/// sink and the lifetime tracker; returns the translation that
+/// continues down the fill flow: the displaced victim, or `tx` itself
+/// when the store bypassed it.
+fn record(
+    structure: TxStructure,
+    tx: Translation,
+    outcome: TxInsert,
+    mode_flip: bool,
+    now: Cycle,
+    sink: &mut Option<&mut dyn TraceSink>,
+    obs: &mut Option<&mut VictimLifetimes>,
+) -> Option<Translation> {
+    let (vpn, vmid) = (tx.key.vpn.0, tx.key.vmid.raw());
+    match outcome {
+        TxInsert::Inserted { evicted } => {
+            if let Some(s) = sink.as_deref_mut() {
+                s.emit(&TraceEvent::VictimInsert {
+                    cycle: now,
+                    structure,
+                    vpn,
+                    vmid,
+                    evicted_vpn: evicted.map(|e| e.key.vpn.0),
+                    evicted_vmid: evicted.map(|e| e.key.vmid.raw()),
+                    mode_flip,
+                });
+            }
+            if let Some(o) = obs.as_deref_mut() {
+                o.insert(structure, vpn, vmid, evicted.map(|e| (e.key.vpn.0, e.key.vmid.raw())), now);
+            }
+            evicted
+        }
+        TxInsert::Bypassed => {
+            if let Some(s) = sink.as_deref_mut() {
+                s.emit(&TraceEvent::VictimBypass { cycle: now, structure, vpn, vmid });
+            }
+            Some(tx)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -215,8 +190,7 @@ mod tests {
     use gtr_vm::addr::{Ppn, Vpn};
     use gtr_vm::tlb::TlbConfig;
 
-    fn parts(cfg: &ReachConfig) -> (TxLds, TxIcache, Tlb) {
-        let _ = cfg;
+    fn parts() -> (TxLds, TxIcache, Tlb) {
         (
             TxLds::new(16 * 1024, SegmentSize::Bytes32),
             TxIcache::new(16 * 1024, 8, TxPerLine::Eight, Replacement::InstructionAware),
@@ -231,17 +205,17 @@ mod tests {
     #[test]
     fn victim_lands_in_lds_first() {
         let cfg = ReachConfig::ic_plus_lds();
-        let (mut lds, mut ic, mut l2) = parts(&cfg);
+        let (mut lds, mut ic, mut l2) = parts();
         fill_l1_victim(&cfg, &mut lds, &mut ic, &mut l2, tx(42));
         assert_eq!(lds.resident(), 1);
         assert_eq!(ic.resident_tx(), 0);
-        assert!(l2.probe(tx(42).key).is_none());
+        assert!(l2.lookup(tx(42).key).is_none());
     }
 
     #[test]
     fn app_mode_segment_routes_to_icache() {
         let cfg = ReachConfig::ic_plus_lds();
-        let (mut lds, mut ic, mut l2) = parts(&cfg);
+        let (mut lds, mut ic, mut l2) = parts();
         lds.on_app_allocate(0, 16 * 1024); // whole LDS app-owned
         fill_l1_victim(&cfg, &mut lds, &mut ic, &mut l2, tx(42));
         assert_eq!(lds.resident(), 0);
@@ -251,7 +225,7 @@ mod tests {
     #[test]
     fn ic_mode_line_routes_to_l2_tlb() {
         let cfg = ReachConfig::ic_plus_lds();
-        let (mut lds, mut ic, mut l2) = parts(&cfg);
+        let (mut lds, mut ic, mut l2) = parts();
         lds.on_app_allocate(0, 16 * 1024);
         // Fill the whole I-cache with instructions so every line is IC-mode.
         for set in 0..32u64 {
@@ -261,13 +235,13 @@ mod tests {
         }
         fill_l1_victim(&cfg, &mut lds, &mut ic, &mut l2, tx(42));
         assert_eq!(ic.resident_tx(), 0);
-        assert!(l2.probe(tx(42).key).is_some());
+        assert!(l2.lookup(tx(42).key).is_some());
     }
 
     #[test]
     fn lds_eviction_cascades_into_icache() {
         let cfg = ReachConfig::ic_plus_lds();
-        let (mut lds, mut ic, mut l2) = parts(&cfg);
+        let (mut lds, mut ic, mut l2) = parts();
         let n = lds.segment_count() as u64;
         // Fill one LDS segment's 3 ways, then a 4th to the same segment.
         for i in 0..3 {
@@ -282,28 +256,28 @@ mod tests {
     #[test]
     fn lds_only_terminates_in_l2() {
         let cfg = ReachConfig::lds_only();
-        let (mut lds, mut ic, mut l2) = parts(&cfg);
+        let (mut lds, mut ic, mut l2) = parts();
         lds.on_app_allocate(0, 16 * 1024);
         fill_l1_victim(&cfg, &mut lds, &mut ic, &mut l2, tx(7));
         assert_eq!(ic.resident_tx(), 0, "I-cache disabled");
-        assert!(l2.probe(tx(7).key).is_some());
+        assert!(l2.lookup(tx(7).key).is_some());
     }
 
     #[test]
     fn baseline_goes_straight_to_l2() {
         let cfg = ReachConfig::baseline();
-        let (mut lds, mut ic, mut l2) = parts(&cfg);
+        let (mut lds, mut ic, mut l2) = parts();
         let writes = fill_l1_victim(&cfg, &mut lds, &mut ic, &mut l2, tx(5));
         assert_eq!(writes, 1);
         assert_eq!(lds.resident(), 0);
         assert_eq!(ic.resident_tx(), 0);
-        assert!(l2.probe(tx(5).key).is_some());
+        assert!(l2.lookup(tx(5).key).is_some());
     }
 
     #[test]
     fn lookup_order_lds_then_icache() {
         let cfg = ReachConfig::ic_plus_lds();
-        let (mut lds, mut ic, _l2) = parts(&cfg);
+        let (mut lds, mut ic, _l2) = parts();
         let t = tx(3);
         ic.insert_tx(t);
         // Only in the I-cache: the LDS misses first, then the IC hits.
@@ -322,7 +296,7 @@ mod tests {
     #[test]
     fn disabled_structures_never_hit() {
         let cfg = ReachConfig::baseline();
-        let (mut lds, mut ic, _l2) = parts(&cfg);
+        let (mut lds, mut ic, _l2) = parts();
         lds.insert(tx(1));
         ic.insert_tx(tx(1));
         assert!(lookup_victim(&cfg, &mut lds, &mut ic, tx(1).key).is_none());

@@ -249,6 +249,23 @@ impl TranslationKey {
     pub fn for_vpn(vpn: Vpn) -> Self {
         Self { vpn, vmid: VmId::default(), vrf: VrfId::default() }
     }
+
+    /// The distinct span-aligned base keys a coalesced entry covering
+    /// this key may be stored under: `(k, key with the low k VPN bits
+    /// cleared)` for `k = 0..=max`, skipping any level whose base
+    /// equals the level below (an already aligned VPN). `k = 0` is
+    /// always the exact key, so `max = 0` visits only the key itself.
+    pub fn span_bases(self, max: u8) -> impl Iterator<Item = (u8, TranslationKey)> {
+        let mut prev = None;
+        (0..=max).filter_map(move |k| {
+            let base = self.vpn.0 & !((1u64 << k) - 1);
+            if prev == Some(base) {
+                return None;
+            }
+            prev = Some(base);
+            Some((k, TranslationKey { vpn: Vpn(base), ..self }))
+        })
+    }
 }
 
 impl fmt::Display for TranslationKey {
@@ -433,6 +450,20 @@ mod tests {
         // Span 0 via with_span is exactly `new`.
         let single = Translation::with_span(TranslationKey::for_vpn(Vpn(9)), Ppn(3), 0);
         assert_eq!(single, Translation::new(TranslationKey::for_vpn(Vpn(9)), Ppn(3)));
+    }
+
+    #[test]
+    fn span_bases_visit_each_distinct_base_once() {
+        let key = TranslationKey { vpn: Vpn(0b10110), vmid: VmId::new(3), vrf: VrfId::new(1) };
+        let bases: Vec<(u8, u64)> = key.span_bases(4).map(|(k, b)| (k, b.vpn.0)).collect();
+        // Level 1 repeats level 0 (bit 0 is clear), level 4 repeats
+        // level 3 (bit 3 is clear).
+        assert_eq!(bases, vec![(0, 0b10110), (2, 0b10100), (3, 0b10000)]);
+        assert!(key.span_bases(4).all(|(_, b)| b.vmid == key.vmid && b.vrf == key.vrf));
+        let exact: Vec<_> = key.span_bases(0).collect();
+        assert_eq!(exact, vec![(0, key)], "max 0 visits only the exact key");
+        let aligned = TranslationKey::for_vpn(Vpn(64));
+        assert_eq!(aligned.span_bases(4).count(), 1, "an aligned VPN has one base");
     }
 
     #[test]

@@ -122,8 +122,8 @@ mod tests {
         let out = run_shootdown(0, k(7), &cfg, &mut [&mut a, &mut b]);
         assert_eq!(out.sinks_hit, 2);
         assert_eq!(out.sinks_probed, 2);
-        assert!(a.probe(k(7)).is_none());
-        assert!(b.probe(k(7)).is_none());
+        assert!(a.lookup(k(7)).is_none());
+        assert!(b.lookup(k(7)).is_none());
     }
 
     #[test]
@@ -143,6 +143,6 @@ mod tests {
         a.insert(Translation::new(k(1), Ppn(1)));
         let out = run_shootdown(0, k(2), &ShootdownConfig::default(), &mut [&mut a]);
         assert_eq!(out.sinks_hit, 0);
-        assert!(a.probe(k(1)).is_some(), "other entries untouched");
+        assert!(a.lookup(k(1)).is_some(), "other entries untouched");
     }
 }

@@ -33,7 +33,7 @@
 
 use std::fmt;
 
-use crate::addr::{TranslationKey, VmId};
+use crate::addr::{Ppn, Translation, TranslationKey, VmId, Vpn};
 
 /// Maximum concurrent tenants: one per 3-bit VM-ID.
 pub const MAX_TENANTS: usize = 8;
@@ -143,6 +143,27 @@ pub fn canonical(key: TranslationKey) -> TranslationKey {
 pub fn representative(key: TranslationKey, mask: u8) -> TranslationKey {
     let vm = if mask == 0 { 0 } else { mask.trailing_zeros() as u8 };
     TranslationKey { vpn: key.vpn, vmid: VmId::new(vm), vrf: key.vrf }
+}
+
+/// The logical single-page translations one stored entry stands for,
+/// for coherence checks and sharing analysis: one per covered page of
+/// its `2^span` run (base `key`, frames from `ppn`) and, under
+/// sub-entry sharing (`sharers = Some(valid mask)`), one per sharing
+/// tenant, the canonical key retagged with that tenant's VM-ID. Pages
+/// are the outer order, tenants ascend within a page.
+pub fn expand(
+    key: TranslationKey,
+    ppn: Ppn,
+    span: u8,
+    sharers: Option<u8>,
+) -> impl Iterator<Item = Translation> {
+    let mask = sharers.unwrap_or(1 << key.vmid.raw());
+    (0..1u64 << span).flat_map(move |o| {
+        (0..MAX_TENANTS as u8).filter(move |b| mask & (1 << b) != 0).map(move |b| {
+            let vmid = if sharers.is_some() { VmId::new(b) } else { key.vmid };
+            Translation::new(TranslationKey { vpn: Vpn(key.vpn.0 + o), vmid, ..key }, Ppn(ppn.0 + o))
+        })
+    })
 }
 
 #[cfg(test)]

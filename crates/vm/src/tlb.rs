@@ -348,20 +348,14 @@ impl Tlb {
     /// one-tick-per-call exactly as before.
     fn lookup_covering(&mut self, key: TranslationKey) -> Option<Translation> {
         if let Some(max) = self.coalescing {
-            let mut prev = key.vpn.0;
-            for k in 1..=max {
-                let bvpn = key.vpn.0 & !((1u64 << k) - 1);
-                if bvpn == prev {
-                    continue; // aligned: same base key as the level below
-                }
-                prev = bvpn;
-                let bkey = TranslationKey { vpn: Vpn(bvpn), ..key };
+            // Level 0 (the exact key) already missed in `lookup`.
+            for (_, bkey) in key.span_bases(max).skip(1) {
                 let Some(&i) = self.index.get(self.store_key(bkey)) else { continue };
                 if !self.mask_allows(i, key) {
                     continue;
                 }
                 let sl = self.slots[i as usize];
-                if key.vpn.0 - bvpn >= (1u64 << sl.span) {
+                if key.vpn.0 - bkey.vpn.0 >= (1u64 << sl.span) {
                     continue;
                 }
                 let s = i as usize / self.config.assoc;
@@ -373,35 +367,6 @@ impl Tlb {
             }
         }
         self.stats.miss();
-        None
-    }
-
-    /// Checks presence without perturbing LRU or counters.
-    pub fn probe(&self, key: TranslationKey) -> Option<Translation> {
-        if let Some(&i) = self.index.get(self.store_key(key)) {
-            if self.mask_allows(i, key) {
-                let sl = &self.slots[i as usize];
-                return Some(self.hit_translation(key, sl.key, sl.ppn, sl.span));
-            }
-        }
-        let max = self.coalescing?;
-        let mut prev = key.vpn.0;
-        for k in 1..=max {
-            let bvpn = key.vpn.0 & !((1u64 << k) - 1);
-            if bvpn == prev {
-                continue;
-            }
-            prev = bvpn;
-            let bkey = TranslationKey { vpn: Vpn(bvpn), ..key };
-            let Some(&i) = self.index.get(self.store_key(bkey)) else { continue };
-            if !self.mask_allows(i, key) {
-                continue;
-            }
-            let sl = &self.slots[i as usize];
-            if key.vpn.0 - bvpn < (1u64 << sl.span) {
-                return Some(self.hit_translation(key, sl.key, sl.ppn, sl.span));
-            }
-        }
         None
     }
 
@@ -591,22 +556,14 @@ impl Tlb {
     /// cleared; the physical entry survives while other tenants still
     /// share it (2404.18361 §4.3) and dies when the mask empties.
     pub fn invalidate(&mut self, key: TranslationKey) -> bool {
-        let Some(max) = self.coalescing else {
-            return self.invalidate_exact(key);
-        };
-        // Coalescing: the page may be covered by its exact-key entry
-        // AND by wider entries at the masked bases of every span level
-        // (a split fragment and a covering run can coexist) — never
-        // early-return; scan all distinct bases.
+        // The page may be covered by its exact-key entry AND by wider
+        // entries at the masked bases of every span level (a split
+        // fragment and a covering run can coexist) — never
+        // early-return; scan all distinct bases. With coalescing off
+        // only the exact key is visited.
         let mut any = false;
-        let mut prev = u64::MAX;
-        for k in 0..=max {
-            let bvpn = key.vpn.0 & !((1u64 << k) - 1); // k=0: the exact key
-            if bvpn == prev {
-                continue;
-            }
-            prev = bvpn;
-            let bkey = TranslationKey { vpn: Vpn(bvpn), ..key };
+        for (_, bkey) in key.span_bases(self.coalescing.unwrap_or(0)) {
+            let bvpn = bkey.vpn.0;
             let skey = self.store_key(bkey);
             let Some(&i) = self.index.get(skey) else { continue };
             let sl = self.slots[i as usize];
@@ -658,34 +615,6 @@ impl Tlb {
             }
         }
         any
-    }
-
-    /// The classic (non-coalescing) shootdown path, byte-identical to
-    /// the pre-coalescing behavior.
-    fn invalidate_exact(&mut self, key: TranslationKey) -> bool {
-        let skey = self.store_key(key);
-        if let Some(t) = self.tenancy {
-            if t.sub_entry() {
-                let Some(&i) = self.index.get(skey) else { return false };
-                let bit = TenancyConfig::mask_bit(key.vmid);
-                let sl = &mut self.slots[i as usize];
-                if sl.mask & bit == 0 {
-                    return false;
-                }
-                sl.mask &= !bit;
-                if sl.mask == 0 {
-                    self.remove_slot(skey, i);
-                }
-                return true;
-            }
-        }
-        match self.index.remove(skey) {
-            Some(i) => {
-                self.free_slot(i);
-                true
-            }
-            None => false,
-        }
     }
 
     /// Unlinks slot `i` (whose index key is `skey`) and returns it to
@@ -799,29 +728,7 @@ impl Tlb {
     pub fn iter(&self) -> impl Iterator<Item = Translation> + '_ {
         let sub_entry = matches!(&self.tenancy, Some(t) if t.sub_entry());
         self.slots.iter().filter(|sl| sl.used).flat_map(move |sl| {
-            let mask = if sub_entry { sl.mask } else { 0 };
-            let mut shared: Vec<Translation> = Vec::new();
-            for o in 0..(1u64 << sl.span) {
-                let vpn = Vpn(sl.key.vpn.0 + o);
-                let ppn = Ppn(sl.ppn.0 + o);
-                if sub_entry {
-                    shared.extend(
-                        (0..tenancy::MAX_TENANTS as u8)
-                            .filter(|i| mask & (1 << i) != 0)
-                            .map(|i| {
-                                let key = TranslationKey {
-                                    vpn,
-                                    vmid: VmId::new(i),
-                                    vrf: sl.key.vrf,
-                                };
-                                Translation::new(key, ppn)
-                            }),
-                    );
-                } else {
-                    shared.push(Translation::new(TranslationKey { vpn, ..sl.key }, ppn));
-                }
-            }
-            shared.into_iter()
+            tenancy::expand(sl.key, sl.ppn, sl.span, sub_entry.then_some(sl.mask))
         })
     }
 }
@@ -883,17 +790,6 @@ mod tests {
         // vpn 2 became LRU after the vpn-1 refresh + lookup
         let v = t.insert(tx(3)).unwrap();
         assert_eq!(v.key, k(2));
-    }
-
-    #[test]
-    fn probe_does_not_disturb_lru() {
-        let mut t = Tlb::new(TlbConfig::fully_associative(2, 1));
-        t.insert(tx(1));
-        t.insert(tx(2));
-        t.probe(k(1)); // no LRU update: 1 stays LRU
-        let v = t.insert(tx(3)).unwrap();
-        assert_eq!(v.key, k(1));
-        assert_eq!(t.stats().total(), 0, "probe must not count");
     }
 
     #[test]
@@ -987,8 +883,8 @@ mod tests {
                 }
             }
             // Tenant 1's reserved ways survived the storm.
-            assert!(t.probe(key(1, 100)).is_some());
-            assert!(t.probe(key(1, 101)).is_some());
+            assert!(t.lookup(key(1, 100)).is_some());
+            assert!(t.lookup(key(1, 101)).is_some());
             // Tenant 0 holds exactly its quota.
             let t0 = t.iter().filter(|e| e.key.vmid.raw() == 0).count();
             assert_eq!(t0, 2);
@@ -1004,8 +900,8 @@ mod tests {
                 t.insert(Translation::new(key(2, v), Ppn(v)));
             }
             assert_eq!(t.len(), 2, "static partition caps the tenant at its quota");
-            assert!(t.probe(key(2, 3)).is_some());
-            assert!(t.probe(key(2, 4)).is_some());
+            assert!(t.lookup(key(2, 3)).is_some());
+            assert!(t.lookup(key(2, 4)).is_some());
         }
 
         #[test]
@@ -1082,8 +978,8 @@ mod tests {
             t.insert(Translation::new(key(1, 2), Ppn(20)));
             assert_eq!(t.invalidate_vmid(VmId::new(1)), 2);
             assert_eq!(t.len(), 1, "shared entry survives, solo entry dies");
-            assert!(t.probe(key(0, 1)).is_some());
-            assert!(t.probe(key(1, 1)).is_none());
+            assert!(t.lookup(key(0, 1)).is_some());
+            assert!(t.lookup(key(1, 1)).is_none());
         }
 
         #[test]
@@ -1144,18 +1040,6 @@ mod tests {
         }
 
         #[test]
-        fn probe_agrees_with_lookup_everywhere() {
-            let mut t = co_tlb(8, 4);
-            t.insert(span3());
-            t.insert(Translation::new(k(100), Ppn(9)));
-            for v in 0..160u64 {
-                let p = t.probe(k(v));
-                let l = t.lookup(k(v));
-                assert_eq!(p, l, "probe/lookup diverge at vpn {v}");
-            }
-        }
-
-        #[test]
         fn insert_counters_measure_reach() {
             let mut t = co_tlb(8, 4);
             t.insert(span3());
@@ -1174,9 +1058,9 @@ mod tests {
             t.insert(span3());
             // Shoot vpn 42 out of the 40..48 run.
             assert!(t.invalidate(k(42)));
-            assert!(t.probe(k(42)).is_none(), "shot page must not survive");
+            assert!(t.lookup(k(42)).is_none(), "shot page must not survive");
             for v in (40..48u64).filter(|&v| v != 42) {
-                let hit = t.probe(k(v)).expect("survivor lost");
+                let hit = t.lookup(k(v)).expect("survivor lost");
                 assert_eq!(hit.ppn_for(Vpn(v)), Ppn(500 + (v - 40)), "survivor remapped");
             }
             // Buddy decomposition of 8 minus one page: spans {0,1,2}.
@@ -1191,9 +1075,9 @@ mod tests {
             let mut t = co_tlb(16, 4);
             t.insert(span3());
             assert!(t.invalidate(k(40)));
-            assert!(t.probe(k(40)).is_none());
+            assert!(t.lookup(k(40)).is_none());
             for v in 41..48u64 {
-                assert_eq!(t.probe(k(v)).unwrap().ppn_for(Vpn(v)), Ppn(500 + (v - 40)));
+                assert_eq!(t.lookup(k(v)).unwrap().ppn_for(Vpn(v)), Ppn(500 + (v - 40)));
             }
         }
 
@@ -1204,7 +1088,7 @@ mod tests {
             for v in 40..48u64 {
                 assert!(t.invalidate(k(v)), "page {v} already gone");
                 for w in 40..48u64 {
-                    assert_eq!(t.probe(k(w)).is_some(), w > v, "page {w} after shooting {v}");
+                    assert_eq!(t.lookup(k(w)).is_some(), w > v, "page {w} after shooting {v}");
                 }
             }
             assert!(t.is_empty());
@@ -1219,7 +1103,7 @@ mod tests {
             t.insert(span3());
             t.insert(Translation::new(k(42), Ppn(777)));
             assert!(t.invalidate(k(42)));
-            assert!(t.probe(k(42)).is_none(), "stale translation survived the shootdown");
+            assert!(t.lookup(k(42)).is_none(), "stale translation survived the shootdown");
         }
 
         #[test]
@@ -1280,9 +1164,9 @@ mod tests {
             // whole run, tenant 1 keeps it.
             let shot = TranslationKey { vpn: Vpn(42), ..key(0) };
             assert!(t.invalidate(shot));
-            assert!(t.probe(shot).is_none());
-            assert!(t.probe(TranslationKey { vpn: Vpn(41), ..key(0) }).is_none());
-            assert!(t.probe(TranslationKey { vpn: Vpn(42), ..key(1) }).is_some());
+            assert!(t.lookup(shot).is_none());
+            assert!(t.lookup(TranslationKey { vpn: Vpn(41), ..key(0) }).is_none());
+            assert!(t.lookup(TranslationKey { vpn: Vpn(42), ..key(1) }).is_some());
             assert_eq!(t.coalescing_counters().splits, 1);
         }
 

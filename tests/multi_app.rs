@@ -87,7 +87,7 @@ fn vmid_shootdown_only_hits_its_own_space() {
     assert_eq!(tlb.len(), 4, "space 0 untouched");
     for v in 0..4u64 {
         assert!(tlb
-            .probe(TranslationKey { vpn: Vpn(v), vmid: VmId::new(0), vrf: VrfId::default() })
+            .lookup(TranslationKey { vpn: Vpn(v), vmid: VmId::new(0), vrf: VrfId::default() })
             .is_some());
     }
 }

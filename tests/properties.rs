@@ -10,7 +10,8 @@
 use gpu_translation_reach::core_arch::compress::TagGroup;
 use gpu_translation_reach::core_arch::config::{Replacement, SegmentSize, TxPerLine};
 use gpu_translation_reach::core_arch::icache_tx::TxIcache;
-use gpu_translation_reach::core_arch::lds_tx::{LdsInsert, SegmentMode, TxLds};
+use gpu_translation_reach::core_arch::lds_tx::{SegmentMode, TxLds};
+use gpu_translation_reach::core_arch::tx_ways::TxInsert;
 use gpu_translation_reach::sim::resource::Timeline;
 use gpu_translation_reach::sim::rng::SplitMix64;
 use gpu_translation_reach::vm::addr::{PageSize, Ppn, Translation, TranslationKey, VirtAddr, Vpn};
@@ -72,7 +73,7 @@ fn tlb_capacity_and_residency() {
             tlb.insert(tx(v));
             assert!(tlb.len() <= entries);
             assert!(
-                tlb.probe(TranslationKey::for_vpn(Vpn(v))).is_some(),
+                tlb.lookup(TranslationKey::for_vpn(Vpn(v))).is_some(),
                 "freshly inserted key must be resident"
             );
         }
@@ -171,7 +172,7 @@ fn tx_lds_mode_safety() {
             assert!(lds.resident() <= cap);
             // An App segment must always bypass inserts.
             if lds.segment_mode(tx(v).key) == SegmentMode::App {
-                assert_eq!(lds.insert(tx(v)), LdsInsert::Bypassed);
+                assert_eq!(lds.insert(tx(v)), TxInsert::Bypassed);
             }
         }
     });
