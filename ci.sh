@@ -43,6 +43,12 @@ grep -q '"sim_cycles": 3977625' target/ci-observability/perf_t4.json || {
 CI_OUT=target/ci-observability
 mkdir -p "$CI_OUT"
 cargo run --release -q -p gtr-bench --bin all -- --tiny --percentiles --stats-out "$CI_OUT/matrix.json"
+# Export contract: the simulator is deterministic, so the fresh tiny
+# matrix export must equal the committed fixture byte for byte. A
+# change that means to move simulated results regenerates the fixture
+# (experiments/README.md) and says why.
+cmp "$CI_OUT/matrix.json" experiments/matrix_tiny.json || {
+    echo "tiny matrix export differs from experiments/matrix_tiny.json" >&2; exit 1; }
 cargo run --release -q -p gtr-bench --bin run_app -- GUPS ic+lds --tiny --percentiles \
     --epochs 50000 --stats-out "$CI_OUT/run.json" --trace "$CI_OUT/trace.jsonl"
 cargo run --release -q -p gtr-bench --bin validate_stats -- \

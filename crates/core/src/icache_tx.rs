@@ -27,6 +27,7 @@
 //! already share fetch capacity set-associatively and instruction lines
 //! carry no address-space state to isolate.
 
+use gtr_sim::divisor::Divisor;
 use gtr_sim::resource::TrackedPort;
 use gtr_sim::stats::HitMiss;
 use gtr_vm::addr::{Translation, TranslationKey, VmId};
@@ -116,7 +117,8 @@ pub struct TxIcache {
     /// The line array (index = set * assoc + way), shared by the
     /// set-associative instruction side and the direct-mapped Tx side.
     core: TxCore<Line, TX_LANES>,
-    sets: usize,
+    /// The instruction side's set count.
+    sets: Divisor,
     assoc: usize,
     replacement: Replacement,
     fills_this_kernel: u64,
@@ -137,7 +139,7 @@ impl TxIcache {
             (0..line_count).map(|_| Line { state: LineState::Invalid, last_use: 0 }).collect();
         Self {
             core: TxCore::new(lines, tx_per_line.slots()),
-            sets: line_count / assoc,
+            sets: Divisor::new((line_count / assoc) as u64),
             assoc,
             replacement,
             fills_this_kernel: 0,
@@ -221,7 +223,7 @@ impl TxIcache {
 
     /// The first line of `line_addr`'s set and its instruction tag.
     fn inst_set(&self, line_addr: u64) -> (usize, u64) {
-        ((line_addr as usize) % self.sets * self.assoc, line_addr / self.sets as u64)
+        (self.sets.rem(line_addr) as usize * self.assoc, self.sets.div(line_addr))
     }
 
     /// The way of the set at `base` holding instruction tag `tag`.

@@ -300,6 +300,19 @@ mod tests {
     }
 
     #[test]
+    fn builds_without_groups() {
+        // The group-count and stripe divisors are built up front; with
+        // no groups there is nothing to index, and building (also
+        // under partitioning) must not divide by zero.
+        let mut l = TxLds::new(0, SegmentSize::Bytes32);
+        l.set_tenancy(TenancyConfig::new(2, gtr_vm::tenancy::SharingPolicy::Partitioned));
+        assert_eq!(l.segment_count(), 0);
+        use crate::config::{Replacement, TxPerLine};
+        let ic = crate::icache_tx::TxIcache::new(0, 8, TxPerLine::Eight, Replacement::InstructionAware);
+        assert_eq!(ic.line_count(), 0);
+    }
+
+    #[test]
     fn app_mode_bypasses_and_drops() {
         let mut l = lds();
         let t = tx(3);

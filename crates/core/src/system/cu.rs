@@ -10,6 +10,7 @@
 use gtr_gpu::config::GpuConfig;
 use gtr_gpu::dispatch::Placement;
 use gtr_mem::cache::Cache;
+use gtr_sim::divisor::Divisor;
 use gtr_sim::fastmap::FastMap;
 use gtr_sim::resource::{Pipeline, Server, TrackedPort};
 use gtr_sim::Cycle;
@@ -33,13 +34,18 @@ pub(super) struct Cu {
     pub(super) lds_port: TrackedPort,
     pub(super) simds: Vec<Pipeline>,
     pub(super) next_simd: usize,
+    /// The I-cache this CU fetches through (`cu / cus_per_icache`).
+    pub(super) ic_idx: usize,
+    /// The CU count, dividing a VPN into its home CU under LDS
+    /// home-node hashing (`System::lds_home`).
+    pub(super) homes: Divisor,
 }
 
 impl Cu {
-    /// Builds one cold compute unit for the machine configuration.
+    /// Builds cold compute unit `idx` for the machine configuration.
     /// With `reach.tenancy` set, the CU's L1 TLB and reconfigurable
     /// LDS are born under that sharing policy (TENANCY.md §3).
-    pub(super) fn new(gpu: &GpuConfig, reach: &ReachConfig) -> Self {
+    pub(super) fn new(idx: usize, gpu: &GpuConfig, reach: &ReachConfig) -> Self {
         let mut l1_tlb = Tlb::new(gpu.l1_tlb);
         let mut tx_lds = TxLds::new(gpu.lds_bytes, reach.segment_size).with_index_shift(
             if reach.lds_home_hashing {
@@ -65,8 +71,18 @@ impl Cu {
             lds_port: TrackedPort::new(),
             simds: (0..gpu.simds_per_cu).map(|_| Pipeline::new(4, 4)).collect(),
             next_simd: 0,
+            ic_idx: idx / gpu.cus_per_icache,
+            homes: Divisor::new(gpu.cus as u64),
         }
     }
+}
+
+/// Where a running kernel's code lives: its first global I-cache line,
+/// and its line count, which wraps an instruction's line offset.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct KernelCode {
+    pub(super) base: u64,
+    pub(super) lines: Divisor,
 }
 
 /// Runtime state of one in-flight wavefront.

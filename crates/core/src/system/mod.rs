@@ -49,6 +49,7 @@ use gtr_gpu::dispatch::Dispatcher;
 use gtr_gpu::kernel::{AppTrace, KernelDesc, INSTS_PER_LINE};
 use gtr_gpu::lds::LdsAllocator;
 use gtr_gpu::ops::Op;
+use gtr_sim::divisor::Divisor;
 use gtr_sim::event::EventQueue;
 use gtr_sim::fastmap::FastMap;
 use gtr_sim::hist::CycleAttribution;
@@ -68,7 +69,7 @@ use crate::obs::{ObsRecorder, VictimLifetimes};
 use crate::stats::{EpochStats, KernelStats, RunStats, SamplingMeta, TenantStats};
 use crate::victim;
 
-use cu::{Cu, SampleMode, WaveRt, WgRt};
+use cu::{Cu, KernelCode, SampleMode, WaveRt, WgRt};
 use shared::{PteMem, SharedHierarchy};
 
 /// Physical region instruction code occupies (disjoint from data
@@ -216,7 +217,7 @@ impl System {
     /// Builds a cold system from a machine configuration and a
     /// reconfigurable-architecture configuration.
     pub fn new(gpu: GpuConfig, reach: ReachConfig) -> Self {
-        let cus = (0..gpu.cus).map(|_| Cu::new(&gpu, &reach)).collect();
+        let cus = (0..gpu.cus).map(|i| Cu::new(i, &gpu, &reach)).collect();
         Self {
             shared: SharedHierarchy::new(&gpu, &reach),
             cus,
@@ -706,7 +707,10 @@ impl System {
         if kernel.total_waves() == 0 {
             return start;
         }
-        let code_base = self.code_base(kernel);
+        let code = KernelCode {
+            base: self.code_base(kernel),
+            lines: Divisor::new(kernel.code_lines().into()),
+        };
         let mut waves: Vec<WaveRt> = Vec::new();
         let mut wgs: Vec<WgRt> = Vec::new();
         let mut events: EventQueue<usize> = EventQueue::with_capacity(kernel.total_waves());
@@ -762,10 +766,10 @@ impl System {
                 // prefetches the kernel's first lines into the group's
                 // I-cache while the waves are being launched, so a
                 // post-flush cold start does not stall the first ops.
-                let ic_idx = p.cu / s.gpu.cus_per_icache;
+                let ic_idx = s.cus[p.cu].ic_idx;
                 for l in 0..8u64.min(kernel.code_lines() as u64) {
-                    if s.shared.icaches[ic_idx].prefetch(code_base + l) && !s.ff_on {
-                        s.shared.mem.read(now, (code_base + l) * 64);
+                    if s.shared.icaches[ic_idx].prefetch(code.base + l) && !s.ff_on {
+                        s.shared.mem.read(now, (code.base + l) * 64);
                     }
                 }
                 let wg_rt = wgs.len();
@@ -811,7 +815,7 @@ impl System {
                 }
             }
             let finished =
-                self.step_wave(now, wave_id, kernel, code_base, &mut waves, &mut wgs, &mut events, &mut lane_buf);
+                self.step_wave(now, wave_id, kernel, code, &mut waves, &mut wgs, &mut events, &mut lane_buf);
             if let Some(done_at) = finished {
                 t_end = t_end.max(done_at);
                 let wg_rt = waves[wave_id].wg_rt;
@@ -848,7 +852,7 @@ impl System {
         now: Cycle,
         wave_id: usize,
         kernel: &KernelDesc,
-        code_base: u64,
+        code: KernelCode,
         waves: &mut [WaveRt],
         wgs: &mut [WgRt],
         events: &mut EventQueue<usize>,
@@ -873,9 +877,9 @@ impl System {
             // Instruction fetch: each op consumes one instruction slot;
             // the wave's IB holds one I-cache line.
             let inst_idx = waves[wave_id].inst_idx;
-            let line = code_base + (inst_idx / INSTS_PER_LINE as u64) % kernel.code_lines() as u64;
+            let line = code.base + code.lines.rem(inst_idx / INSTS_PER_LINE as u64);
             if waves[wave_id].cur_line != Some(line) {
-                t = self.fetch_instruction(cu_idx, t, line, code_base, kernel.code_lines());
+                t = self.fetch_instruction(cu_idx, t, line, code);
                 waves[wave_id].cur_line = Some(line);
             }
             waves[wave_id].inst_idx += 1;
@@ -932,22 +936,15 @@ impl System {
         }
     }
 
-    fn fetch_instruction(
-        &mut self,
-        cu_idx: usize,
-        now: Cycle,
-        line: u64,
-        code_base: u64,
-        code_lines: u32,
-    ) -> Cycle {
-        let ic_idx = cu_idx / self.gpu.cus_per_icache;
+    fn fetch_instruction(&mut self, cu_idx: usize, now: Cycle, line: u64, code: KernelCode) -> Cycle {
+        let ic_idx = self.cus[cu_idx].ic_idx;
         if self.ff_on {
             // Functional warming: keep I-cache contents (including the
             // next-line prefetcher's footprint) evolving, with no port,
             // fill-engine, or DRAM timing.
             if !self.shared.icaches[ic_idx].fetch(line) {
                 for ahead in 1..=3u64 {
-                    let next = code_base + (line - code_base + ahead) % code_lines as u64;
+                    let next = code.base + code.lines.rem(line - code.base + ahead);
                     if next != line {
                         self.shared.icaches[ic_idx].prefetch(next);
                     }
@@ -975,7 +972,7 @@ impl System {
             let start = self.shared.fetch_fill[ic_idx].reserve(t, duration);
             let done = start + duration;
             for ahead in 1..=3u64 {
-                let next = code_base + (line - code_base + ahead) % code_lines as u64;
+                let next = code.base + code.lines.rem(line - code.base + ahead);
                 if next != line && self.shared.icaches[ic_idx].prefetch(next) {
                     // Prefetches consume memory bandwidth in the
                     // background but do not block the wave.
@@ -1180,7 +1177,7 @@ impl System {
             *sample_countdown -= 1;
         }
 
-        let ic_idx = cu_idx / gpu.cus_per_icache;
+        let ic_idx = cus[cu_idx].ic_idx;
 
         let start = cus[cu_idx].l1_port.acquire(now, 1);
         let t0 = start + gpu.l1_tlb.latency;
@@ -1210,7 +1207,7 @@ impl System {
         // requester's own LDS, with a remote-hop penalty.
         if reach.lds_enabled {
             t += reach.mux_latency;
-            let home = Self::lds_home(reach, cus.len(), key, cu_idx);
+            let home = Self::lds_home(reach, cus, key, cu_idx);
             let remote = if home == cu_idx { 0 } else { reach.lds_remote_latency };
             if cus[home].tx_lds.may_hold(key) {
                 let occupancy = 1;
@@ -1319,7 +1316,7 @@ impl System {
             for ahead in 1..=2u64 {
                 let nkey = TranslationKey { vpn: Vpn(key.vpn.0 + ahead), ..key };
                 if let Some(ppn) = page_table.translate(nkey.vpn) {
-                    let home = Self::lds_home(reach, cus.len(), nkey, cu_idx);
+                    let home = Self::lds_home(reach, cus, nkey, cu_idx);
                     victim::fill_l1_victim_traced(
                         reach,
                         &mut cus[home].tx_lds,
@@ -1383,13 +1380,13 @@ impl System {
             *sample_countdown -= 1;
         }
 
-        let ic_idx = cu_idx / gpu.cus_per_icache;
+        let ic_idx = cus[cu_idx].ic_idx;
         if let Some(tx) = cus[cu_idx].l1_tlb.lookup(key) {
             return (tx.ppn_for(key.vpn), 0);
         }
         *vpn_cus.get_or_insert(key.vpn.0, 0) |= 1 << (cu_idx % 8);
         if reach.lds_enabled {
-            let home = Self::lds_home(reach, cus.len(), key, cu_idx);
+            let home = Self::lds_home(reach, cus, key, cu_idx);
             if cus[home].tx_lds.may_hold(key) {
                 if let Some(tx) = cus[home].tx_lds.lookup(key) {
                     let ppn = tx.ppn_for(key.vpn);
@@ -1467,7 +1464,7 @@ impl System {
             for ahead in 1..=2u64 {
                 let nkey = TranslationKey { vpn: Vpn(key.vpn.0 + ahead), ..key };
                 if let Some(ppn) = page_table.translate(nkey.vpn) {
-                    let home = Self::lds_home(reach, cus.len(), nkey, cu_idx);
+                    let home = Self::lds_home(reach, cus, nkey, cu_idx);
                     victim::fill_l1_victim_traced(
                         reach,
                         &mut cus[home].tx_lds,
@@ -1549,7 +1546,7 @@ impl System {
         if let Some(victim) = cus[cu_idx].l1_tlb.insert(tx) {
             match reach.fill_policy {
                 crate::config::TxFillPolicy::VictimCache => {
-                    let home = Self::lds_home(reach, cus.len(), victim.key, cu_idx);
+                    let home = Self::lds_home(reach, cus, victim.key, cu_idx);
                     victim::fill_l1_victim_traced(
                         reach,
                         &mut cus[home].tx_lds,
@@ -1582,9 +1579,9 @@ impl System {
     /// Which CU's LDS stores a translation: the requester's own under
     /// the paper's design, or `vpn % CUs` under home-node hashing (the
     /// duplication-limiting optimization the paper defers).
-    fn lds_home(reach: &ReachConfig, cus: usize, key: TranslationKey, requester: usize) -> usize {
+    fn lds_home(reach: &ReachConfig, cus: &[Cu], key: TranslationKey, requester: usize) -> usize {
         if reach.lds_home_hashing {
-            (key.vpn.0 as usize) % cus
+            cus[requester].homes.rem(key.vpn.0) as usize
         } else {
             requester
         }

@@ -29,6 +29,7 @@
 //! clean copies, so losing the run's other pages is always safe (they
 //! refill on the next walk).
 
+use gtr_sim::divisor::Divisor;
 use gtr_sim::stats::HitMiss;
 use gtr_vm::addr::{Ppn, Translation, TranslationKey, VmId, Vpn};
 use gtr_vm::tenancy::{self, TenancyConfig};
@@ -206,6 +207,11 @@ pub struct TxCounters {
 pub(crate) struct TxCore<G, const N: usize> {
     /// The structure's groups, indexed by [`TxCore::index`].
     pub(crate) groups: Vec<G>,
+    /// The group count, dividing a VPN into its group and tag.
+    group_count: Divisor,
+    /// Groups per tenant stripe under partitioning (see
+    /// [`TxCore::index`]); built by [`TxCore::set_tenancy`].
+    stripe: Divisor,
     /// Translation ways in use per group (at most `N`).
     pub(crate) ways: usize,
     /// VPN bits skipped before indexing and tagging (see
@@ -225,7 +231,16 @@ pub(crate) struct TxCore<G, const N: usize> {
 impl<G: TxGroup<N>, const N: usize> TxCore<G, N> {
     pub(crate) fn new(groups: Vec<G>, ways: usize) -> Self {
         assert!(ways <= N, "ways exceed the group's SoA lanes");
-        Self { groups, ways, index_shift: 0, tenancy: None, coalescing: None, tick: 0 }
+        Self {
+            group_count: Divisor::new(groups.len() as u64),
+            stripe: Divisor::new(1),
+            groups,
+            ways,
+            index_shift: 0,
+            tenancy: None,
+            coalescing: None,
+            tick: 0,
+        }
     }
 
     /// Advances the LRU clock and returns the new tick.
@@ -238,6 +253,7 @@ impl<G: TxGroup<N>, const N: usize> TxCore<G, N> {
     pub(crate) fn set_tenancy(&mut self, tenancy: TenancyConfig) {
         assert!(self.resident() == 0, "tenancy policy must be set before first insert");
         self.tenancy = Some(tenancy);
+        self.stripe = Divisor::new((self.groups.len() / tenancy.tenants as usize).max(1) as u64);
     }
 
     /// Enables or disables coalesced ways; panics once translations
@@ -259,24 +275,23 @@ impl<G: TxGroup<N>, const N: usize> TxCore<G, N> {
 
     /// The group `key` maps to.
     pub(crate) fn index(&self, key: TranslationKey) -> usize {
-        let vpn = (key.vpn.0 >> self.index_shift) as usize;
-        let len = self.groups.len();
+        let vpn = key.vpn.0 >> self.index_shift;
         match self.tenancy {
             // Partitioned: tenant `t` owns the group stripe ≡ `t`
-            // (mod tenants); any remainder groups when the count does
-            // not divide go unused (they are nobody's quota).
+            // (mod tenants) of `max(groups / tenants, 1)` groups; any
+            // remainder groups when the count does not divide go unused
+            // (they are nobody's quota).
             Some(t) if t.partitioned() => {
-                let tenants = t.tenants as usize;
-                let per = (len / tenants).max(1);
-                ((vpn % per) * tenants + key.vmid.raw() as usize) % len
+                let slot = self.stripe.rem(vpn) * u64::from(t.tenants) + u64::from(key.vmid.raw());
+                self.group_count.rem(slot) as usize
             }
-            _ => vpn % len,
+            _ => self.group_count.rem(vpn) as usize,
         }
     }
 
     /// The tag `key` is compressed under within its group.
     fn tag(&self, key: TranslationKey) -> u64 {
-        (key.vpn.0 >> self.index_shift) / self.groups.len() as u64
+        self.group_count.div(key.vpn.0 >> self.index_shift)
     }
 
     /// Whether a lookup for `key` could possibly hit: the key's own

@@ -6,6 +6,7 @@
 //! and open-page row-buffer policy; latencies are expressed in GPU
 //! cycles (1 DRAM cycle = 2.5 GPU cycles).
 
+use gtr_sim::divisor::Divisor;
 use gtr_sim::resource::Timeline;
 use gtr_sim::Cycle;
 
@@ -90,6 +91,11 @@ pub enum RowOutcome {
 #[derive(Debug, Clone)]
 pub struct Dram {
     config: DramConfig,
+    /// [`Self::map`]'s divisors: channels, lines per row, banks per
+    /// channel.
+    channels: Divisor,
+    lines_per_row: Divisor,
+    banks_per_ch: Divisor,
     banks: Vec<Bank>,
     bus: Vec<Timeline>,
     energy: EnergyCounters,
@@ -106,6 +112,9 @@ impl Dram {
         Self {
             banks: vec![Bank::default(); config.total_banks()],
             bus: vec![Timeline::new(); config.channels],
+            channels: Divisor::new(config.channels as u64),
+            lines_per_row: Divisor::new(config.lines_per_row),
+            banks_per_ch: Divisor::new((config.ranks * config.banks) as u64),
             config,
             energy: EnergyCounters::default(),
             reads: 0,
@@ -130,13 +139,11 @@ impl Dram {
     /// power-of-two-aligned hot lines — page-table nodes above all —
     /// from aliasing onto a single bank and serializing the machine.
     pub fn map(&self, line: u64) -> (usize, usize, u64) {
-        let ch = (line % self.config.channels as u64) as usize;
-        let after_ch = line / self.config.channels as u64;
-        let banks_per_ch = (self.config.ranks * self.config.banks) as u64;
-        let chunk = after_ch / self.config.lines_per_row;
-        let row = chunk / banks_per_ch;
-        let bank_in_ch = ((chunk ^ row) % banks_per_ch) as usize;
-        (ch, ch * banks_per_ch as usize + bank_in_ch, row)
+        let ch = self.channels.rem(line) as usize;
+        let chunk = self.lines_per_row.div(self.channels.div(line));
+        let row = self.banks_per_ch.div(chunk);
+        let bank_in_ch = self.banks_per_ch.rem(chunk ^ row) as usize;
+        (ch, ch * self.banks_per_ch.get() as usize + bank_in_ch, row)
     }
 
     fn access(&mut self, now: Cycle, line: u64, is_write: bool) -> (Cycle, RowOutcome) {

@@ -2,6 +2,7 @@
 //! DRAM. Every request below the per-CU L1s — data misses, instruction
 //! misses, and IOMMU page-table reads — funnels through here.
 
+use gtr_sim::divisor::Divisor;
 use gtr_sim::Cycle;
 
 use crate::cache::{Cache, CacheConfig};
@@ -39,6 +40,8 @@ impl Default for MemorySystemConfig {
 #[derive(Debug, Clone)]
 pub struct MemorySystem {
     l2: Cache,
+    /// The L2's line size, dividing byte addresses into line indices.
+    line_bytes: Divisor,
     dram: Dram,
     energy_model: EnergyModel,
 }
@@ -48,13 +51,14 @@ impl MemorySystem {
     pub fn new(config: MemorySystemConfig) -> Self {
         Self {
             l2: Cache::new(config.l2),
+            line_bytes: Divisor::new(config.l2.line_bytes),
             dram: Dram::new(config.dram),
             energy_model: config.energy,
         }
     }
 
     fn access(&mut self, now: Cycle, addr: u64, is_write: bool) -> Cycle {
-        let line = addr / self.l2.config().line_bytes;
+        let line = self.line_bytes.div(addr);
         let t = now + self.l2.latency();
         let res = self.l2.access(line, is_write);
         if res.hit {

@@ -15,6 +15,9 @@
 //! The crate deliberately contains **no** GPU- or VM-specific logic;
 //! it only provides:
 //!
+//! * [`divisor`] — exact division by a run-time invariant divisor
+//!   (multiply-high and shifts), precomputed once per structure for
+//!   every per-access set, bank, group and tag computation,
 //! * [`event`] — a generic time-ordered event queue,
 //! * [`fastmap`] — an open-addressed hash map for hot simulation
 //!   state (no SipHash overhead, pre-sizable, allocation-free lookups),
@@ -57,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod arena;
+pub mod divisor;
 pub mod event;
 pub mod fastmap;
 pub mod hist;

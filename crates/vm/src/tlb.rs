@@ -18,11 +18,12 @@
 //! ([`Shared`](crate::tenancy::SharingPolicy::Shared), or no tenancy
 //! at all) is the paper's full-key tag check.
 
+use gtr_sim::divisor::Divisor;
 use gtr_sim::fastmap::FastMap;
 use gtr_sim::stats::HitMiss;
 
 use crate::addr::{Ppn, Translation, TranslationKey, VmId, Vpn};
-use crate::tenancy::{self, TenancyConfig};
+use crate::tenancy::{self, TenancyConfig, MAX_TENANTS};
 
 /// Counters for coalesced (variable-reach) entries, ticked only while
 /// coalescing is enabled on the owning structure — with coalescing off
@@ -146,7 +147,10 @@ impl Slot {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     config: TlbConfig,
-    nsets: usize,
+    /// Set count, dividing the folded VPN into a set index.
+    sets: Divisor,
+    /// Associativity, dividing a slot id into its set.
+    ways: Divisor,
     /// Flat slot arena: set `s` owns slots `s*assoc .. (s+1)*assoc`.
     slots: Vec<Slot>,
     /// Per-set MRU end of the recency list.
@@ -155,6 +159,9 @@ pub struct Tlb {
     tail: Vec<u32>,
     /// Per-set free-list head (unused slots chained through `next`).
     free: Vec<u32>,
+    /// Per-set used-slot count per stored VM-ID, so the partitioned
+    /// quota checks never walk a recency list.
+    owners: Vec<[u32; MAX_TENANTS]>,
     /// key -> slot id, so lookups never scan ways. Under sub-entry
     /// sharing the key is the canonical (VM-ID-zeroed) form.
     index: FastMap<TranslationKey, u32>,
@@ -178,11 +185,13 @@ impl Tlb {
         let cap = nsets * config.assoc;
         let mut tlb = Self {
             config,
-            nsets,
+            sets: Divisor::new(nsets as u64),
+            ways: Divisor::new(config.assoc as u64),
             slots: vec![Slot::empty(); cap],
             head: vec![NIL; nsets],
             tail: vec![NIL; nsets],
             free: vec![NIL; nsets],
+            owners: vec![[0; MAX_TENANTS]; nsets],
             index: FastMap::with_capacity(cap.min(1 << 16)),
             len: 0,
             stats: HitMiss::new(),
@@ -198,7 +207,8 @@ impl Tlb {
     /// Resets every slot to empty and rebuilds the per-set free lists.
     fn init_lists(&mut self) {
         let assoc = self.config.assoc;
-        for s in 0..self.nsets {
+        self.owners.fill([0; MAX_TENANTS]);
+        for s in 0..self.head.len() {
             self.head[s] = NIL;
             self.tail[s] = NIL;
             let base = (s * assoc) as u32;
@@ -259,7 +269,12 @@ impl Tlb {
         // power-of-two VPN strides — page-sized matrix rows above all —
         // do not collapse onto a handful of sets.
         let v = key.vpn.0;
-        ((v ^ (v >> 7) ^ (v >> 14)) as usize) % self.nsets
+        self.sets.rem(v ^ (v >> 7) ^ (v >> 14)) as usize
+    }
+
+    /// The set owning slot `i`.
+    fn set_of(&self, i: u32) -> usize {
+        self.ways.div(u64::from(i)) as usize
     }
 
     /// Sets the multi-tenant sharing policy (TENANCY.md). Must be
@@ -325,7 +340,7 @@ impl Tlb {
     pub fn lookup(&mut self, key: TranslationKey) -> Option<Translation> {
         match self.index.get(self.store_key(key)).copied() {
             Some(i) if self.mask_allows(i, key) => {
-                let s = i as usize / self.config.assoc;
+                let s = self.set_of(i);
                 self.detach(s, i);
                 self.push_mru(s, i);
                 self.stats.hit();
@@ -358,7 +373,7 @@ impl Tlb {
                 if key.vpn.0 - bkey.vpn.0 >= (1u64 << sl.span) {
                     continue;
                 }
-                let s = i as usize / self.config.assoc;
+                let s = self.set_of(i);
                 self.detach(s, i);
                 self.push_mru(s, i);
                 self.stats.hit();
@@ -415,7 +430,7 @@ impl Tlb {
         let bit = TenancyConfig::mask_bit(tx.key.vmid);
         let sub_entry = matches!(&self.tenancy, Some(t) if t.sub_entry());
         if let Some(&i) = self.index.get(skey) {
-            let s = i as usize / self.config.assoc;
+            let s = self.set_of(i);
             {
                 let sl = &mut self.slots[i as usize];
                 if sub_entry {
@@ -469,6 +484,7 @@ impl Tlb {
                     sl.used = true;
                     sl.mask = bit;
                     sl.span = tx.span_log2;
+                    self.owners[s][skey.vmid.raw() as usize] += 1;
                     self.push_mru(s, fi);
                     self.index.insert(skey, fi);
                     self.len += 1;
@@ -501,6 +517,8 @@ impl Tlb {
             (Translation::with_span(vkey, sl.ppn, sl.span), sl.key)
         };
         self.index.remove(victim.1);
+        self.owners[s][victim.1.vmid.raw() as usize] -= 1;
+        self.owners[s][skey.vmid.raw() as usize] += 1;
         self.detach(s, v);
         {
             let sl = &mut self.slots[v as usize];
@@ -515,18 +533,9 @@ impl Tlb {
         Some(victim.0)
     }
 
-    /// Used entries in set `s` owned by `vmid` (recency-list walk; the
-    /// associativity is small, Table 1).
+    /// Used entries in set `s` whose stored key carries `vmid`.
     fn count_in_set(&self, s: usize, vmid: VmId) -> usize {
-        let mut n = 0;
-        let mut i = self.head[s];
-        while i != NIL {
-            if self.slots[i as usize].key.vmid == vmid {
-                n += 1;
-            }
-            i = self.slots[i as usize].next;
-        }
-        n
+        self.owners[s][vmid.raw() as usize] as usize
     }
 
     /// The least-recently-used slot in set `s` matching `pred`, walking
@@ -625,9 +634,10 @@ impl Tlb {
     }
 
     fn free_slot(&mut self, i: u32) {
-        let s = i as usize / self.config.assoc;
+        let s = self.set_of(i);
         self.detach(s, i);
         let sl = &mut self.slots[i as usize];
+        self.owners[s][sl.key.vmid.raw() as usize] -= 1;
         sl.used = false;
         sl.mask = 0;
         sl.prev = NIL;
@@ -996,6 +1006,52 @@ mod tests {
             }
             assert_eq!(plain.stats().hits, solo.stats().hits);
             assert_eq!(plain.len(), solo.len());
+        }
+
+        #[test]
+        fn tenant_counts_match_recency_list_walks() {
+            use gtr_sim::rng::SplitMix64;
+            let policies = [SharingPolicy::Partitioned, SharingPolicy::Shared, SharingPolicy::SubEntry];
+            for (n, &policy) in policies.iter().enumerate() {
+                for coalesce in [None, Some(2)] {
+                    let mut t = Tlb::new(TlbConfig::set_associative(64, 8, 1));
+                    t.set_tenancy(Some(TenancyConfig::new(3, policy)));
+                    t.set_coalescing(coalesce);
+                    let mut rng = SplitMix64::new(0x7E4A + n as u64);
+                    for step in 0..20_000 {
+                        let k = key(rng.next_below(3) as u8, rng.next_below(200));
+                        match rng.next_below(100) {
+                            0 => t.flush(),
+                            1 => {
+                                t.invalidate_vmid(k.vmid);
+                            }
+                            2..=11 => {
+                                t.invalidate(k);
+                            }
+                            12..=41 => {
+                                t.lookup(k);
+                            }
+                            _ => {
+                                let span = coalesce.map_or(0, |_| rng.next_below(3) as u8);
+                                let base = TranslationKey { vpn: Vpn(k.vpn.0 >> span << span), ..k };
+                                t.insert(Translation::with_span(base, Ppn(base.vpn.0 + 7), span));
+                            }
+                        }
+                        for s in 0..t.head.len() {
+                            for vm in 0..MAX_TENANTS as u8 {
+                                let vmid = VmId::new(vm);
+                                let mut walked = 0;
+                                let mut i = t.head[s];
+                                while i != NIL {
+                                    walked += usize::from(t.slots[i as usize].key.vmid == vmid);
+                                    i = t.slots[i as usize].next;
+                                }
+                                assert_eq!(t.count_in_set(s, vmid), walked, "{policy:?} step {step} set {s}");
+                            }
+                        }
+                    }
+                }
+            }
         }
 
         #[test]
